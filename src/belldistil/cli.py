@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Iterable, TextIO
+from dataclasses import replace
+from typing import Iterable
 
 from .bell_core import (
     BellDiagonalState,
@@ -34,23 +35,28 @@ from .errors import (
     NotDistillableError,
     ResourceCapError,
 )
-from .finite_ensemble import UnsuccessfulConvention, n_min, round_up_even
+from .finite_ensemble import (
+    UnsuccessfulConvention,
+    n_min,
+    round_up_even,
+    unsuccessful_fidelity,
+)
 from .iterative_scheme import (
-    IterationPolicy,
+    BACKUP,
+    DROP_ONE,
+    NO_BACKUP,
     expected_fidelity_exact,
     expected_fidelity_mc,
     fully_successful_fidelity,
+    sweep_over_fidelity,
+    sweep_over_n,
 )
 from .oracle import compare_with_closed_form, verify_rotation_choice
 
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
 
-_POLICIES = {
-    "backup": IterationPolicy(),
-    "nobackup": IterationPolicy(backup_enabled=False),
-    "drop-even": IterationPolicy(drop_one_when_even=True),
-}
+_POLICIES = {"backup": BACKUP, "nobackup": NO_BACKUP, "drop-even": DROP_ONE}
 
 
 def _fmt(x: float) -> str:
@@ -64,16 +70,14 @@ def _a_grid(start: float, stop: float, step: float) -> list[float]:
     return [round(start + i * step, 12) for i in range(n + 1)]
 
 
-def _write_csv(out: TextIO, header: list[str], rows: Iterable[list[str]]) -> None:
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(row) + "\n")
-
-
-def _open_out(path: str | None):
+def _write_csv(path: str | None, header: list[str], rows: Iterable[list[str]]) -> None:
+    """Write the table to ``path``, or to stdout when no path is given."""
+    text = "".join(",".join(row) + "\n" for row in [header, *rows])
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii", newline="\n"), True
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="ascii", newline="\n") as out:
+        out.write(text)
 
 
 def _parse_state(values: list[float]) -> BellDiagonalState:
@@ -95,11 +99,7 @@ def _parse_state(values: list[float]) -> BellDiagonalState:
 
 
 def cmd_step(args: argparse.Namespace) -> int:
-    try:
-        s = _parse_state([args.a, args.b, args.c, args.d])
-    except InvalidStateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    s = _parse_state([args.a, args.b, args.c, args.d])
     outcome = distill_step(s)
     print(f"input state           {s.serialize()}")
     print(f"distillable           {'yes' if is_distillable(s) else 'no'}")
@@ -125,40 +125,23 @@ def cmd_nmin(args: argparse.Namespace) -> int:
             except (NotDistillableError, FallbackAboveTargetError):
                 cells += ["", ""]
         rows.append(cells)
-    out, close = _open_out(args.out)
-    try:
-        _write_csv(
-            out,
-            ["A", "nmin_locc", "nmin_locc_even", "nmin_conditional", "nmin_conditional_even"],
-            rows,
-        )
-    finally:
-        if close:
-            out.close()
+    _write_csv(
+        args.out,
+        ["A", "nmin_locc", "nmin_locc_even", "nmin_conditional", "nmin_conditional_even"],
+        rows,
+    )
     return 0
-
-
-def _conditional_floor(s: BellDiagonalState) -> float:
-    step = distill_step(s)
-    return min(0.5, step.failure_state.a) if step.failure_reachable else 0.5
 
 
 def cmd_iterate(args: argparse.Namespace) -> int:
     policy = _POLICIES[args.policy]
     s0 = werner(args.a0)
     if args.fu == "conditional":
-        policy = IterationPolicy(
-            backup_enabled=policy.backup_enabled,
-            drop_one_when_even=policy.drop_one_when_even,
-            failure_fidelity=_conditional_floor(s0),
-        )
+        f_u = unsuccessful_fidelity(s0, UnsuccessfulConvention.CONDITIONAL)
+        policy = replace(policy, failure_fidelity=min(0.5, f_u))
     reference = fully_successful_fidelity(s0, args.n)
     if args.method == "exact":
-        try:
-            value = expected_fidelity_exact(args.n, s0, policy)
-        except ResourceCapError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return RESOURCE_ERROR
+        value = expected_fidelity_exact(args.n, s0, policy)
         print(f"expected fidelity     {_fmt(value)}")
     else:
         stats = expected_fidelity_mc(args.n, s0, policy, args.trials, args.seed)
@@ -171,43 +154,26 @@ def cmd_iterate(args: argparse.Namespace) -> int:
 
 
 def cmd_fig3(args: argparse.Namespace) -> int:
-    policy = _POLICIES[args.policy]
-    n_list = args.n_list
     grid = _a_grid(args.start, args.stop, args.step)
-    rows = []
-    for a0 in grid:
-        cells = [_fmt(a0)]
-        for n in n_list:
-            value = expected_fidelity_exact(n, werner(a0), policy)
-            cells.append(_fmt(value / a0))
-        rows.append(cells)
-    out, close = _open_out(args.out)
-    try:
-        _write_csv(out, ["A0"] + [f"ratio_N{n}" for n in n_list], rows)
-    finally:
-        if close:
-            out.close()
+    columns = [sweep_over_fidelity(n, grid, _POLICIES[args.policy]) for n in args.n_list]
+    rows = [
+        [_fmt(a0)] + [_fmt(ratio) for _, _, ratio in cells]
+        for a0, *cells in zip(grid, *columns)
+    ]
+    _write_csv(args.out, ["A0"] + [f"ratio_N{n}" for n in args.n_list], rows)
     return 0
 
 
 def cmd_fig4(args: argparse.Namespace) -> int:
     s0 = werner(args.a0)
-    rows = []
-    for n in range(args.n_start, args.n_stop + 1):
-        rows.append(
-            [
-                str(n),
-                _fmt(expected_fidelity_exact(n, s0, _POLICIES["nobackup"])),
-                _fmt(expected_fidelity_exact(n, s0, _POLICIES["backup"])),
-                _fmt(fully_successful_fidelity(s0, n)),
-            ]
+    n_range = range(args.n_start, args.n_stop + 1)
+    rows = [
+        [str(n), _fmt(nobackup), _fmt(backup), _fmt(full)]
+        for (n, nobackup, full), (_, backup, _) in zip(
+            sweep_over_n(s0, n_range, NO_BACKUP), sweep_over_n(s0, n_range, BACKUP)
         )
-    out, close = _open_out(args.out)
-    try:
-        _write_csv(out, ["N", "nobackup", "backup", "fully_successful"], rows)
-    finally:
-        if close:
-            out.close()
+    ]
+    _write_csv(args.out, ["N", "nobackup", "backup", "fully_successful"], rows)
     return 0
 
 
@@ -291,9 +257,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ResourceCapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return RESOURCE_ERROR if isinstance(exc, ResourceCapError) else USAGE_ERROR
 
 
 def entry() -> None:

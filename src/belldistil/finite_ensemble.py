@@ -11,7 +11,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .bell_core import BellDiagonalState, distill_step
+from .bell_core import BellDiagonalState, distill_step, success_probability
 from .errors import FallbackAboveTargetError, NotDistillableError
 
 #: Above this number of trials, binomial weights switch from exact integer
@@ -68,7 +68,7 @@ def _require_even(n: int) -> None:
 def survivor_pmf(n: int, s: BellDiagonalState) -> RoundStats:
     """Distribution of the number of pairs surviving one round on n pairs."""
     _require_even(n)
-    p = (s.a + s.b) ** 2 + (s.c + s.d) ** 2
+    p = success_probability(s)
     return RoundStats(n_pairs=n, p_success=p, pmf=binomial_pmf(n // 2, p))
 
 

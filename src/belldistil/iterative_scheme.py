@@ -31,7 +31,7 @@ from functools import cache
 import numpy as np
 
 from . import _kernels
-from .bell_core import BellDiagonalState, iterate_map, success_probability
+from .bell_core import BellDiagonalState, iterate_map, success_probability, werner
 from .errors import ResourceCapError
 from .finite_ensemble import binomial_pmf
 
@@ -245,8 +245,6 @@ def sweep_over_fidelity(
     n: int, a_range: list[float], policy: IterationPolicy
 ) -> list[tuple[float, float, float]]:
     """Exact expectation over Werner inputs, with the ratio to the input fidelity."""
-    from .bell_core import werner
-
     rows = []
     for a0 in a_range:
         f = expected_fidelity_exact(n, werner(a0), policy)

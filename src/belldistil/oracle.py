@@ -83,14 +83,14 @@ def bell_coefficients(m: np.ndarray) -> BellDiagonalState:
     return BellDiagonalState(*diag.real)
 
 
-def _rotation(angle_sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """Single-qubit x-rotations for Alice (+pi/2 * sign) and Bob (opposite)."""
+def _pair_rotation(angle_sign: int) -> np.ndarray:
+    """Pair pre-rotation: x-rotation by +pi/2 * sign for Alice, the opposite for Bob."""
     def rx(theta: float) -> np.ndarray:
         c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
         return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
     theta = angle_sign * np.pi / 2.0
-    return rx(theta), rx(-theta)
+    return np.kron(rx(theta), rx(-theta))
 
 
 def _cnot_16(control: int, target: int) -> np.ndarray:
@@ -136,8 +136,8 @@ def dejmps_step_full(m: np.ndarray, angle_sign: int = 1) -> FullStepOutcome:
     admissible as long as :func:`verify_rotation_choice` passes for it.
     """
     validate_density_matrix(m)
-    ra, rb = _rotation(angle_sign)
-    rot16 = np.kron(np.kron(ra, rb), np.kron(ra, rb))
+    u = _pair_rotation(angle_sign)
+    rot16 = np.kron(u, u)
     gate = _cnot_16(0, 2) @ _cnot_16(1, 3) @ rot16
     rho = gate @ np.kron(m, m) @ gate.conj().T
 
@@ -169,8 +169,7 @@ class RotationReport:
 
 def apply_rotation_pair(m: np.ndarray, angle_sign: int = 1) -> np.ndarray:
     """The step pre-rotation acting on a single 4x4 pair state."""
-    ra, rb = _rotation(angle_sign)
-    u = np.kron(ra, rb)
+    u = _pair_rotation(angle_sign)
     return u @ m @ u.conj().T
 
 

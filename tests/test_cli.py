@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from belldistil.cli import main
@@ -166,3 +168,86 @@ class TestVerifyOracle:
         code, out, _ = run(capsys, "verify-oracle", "--samples", "20")
         assert code == 1
         assert "FAIL" in out
+
+
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+_CAP_ERROR = (
+    "error: exact expectation capped at n = 4096; "
+    "use expected_fidelity_mc for larger samples\n"
+)
+
+#: (argv, SHA-256 of stdout or of the ``--out`` file, exact stderr, exit code).
+#: ``{out}`` in argv stands for a fresh file path; stdout must then be empty.
+PINNED = {
+    "step_valid": (
+        ["step", "0.75", "0.0833333333333333", "0.0833333333333333",
+         "0.0833333333333334"],
+        "bc225ae54fd69dab9c3006324dad528b7b85394b9f60fc636c41ee6fe36c8ecd", "", 0),
+    "step_renormalized": (
+        ["step", "0.75", "0.0833333333", "0.0833333333", "0.0833333333"],
+        "894299163d6f512f91686ca79d1f32de6726899a9821a7ee7921a88bf340f3f3",
+        "warning: renormalizing input (sum deviates by 1e-10)\n", 0),
+    "step_bad_sum": (
+        ["step", "0.5", "0.5", "0.5", "0.5"], _EMPTY,
+        "error: coefficients sum to 2.0; deviations above 1e-9 are rejected\n", 2),
+    "step_negative": (
+        ["step", "1.2", "-0.2", "0", "0"], _EMPTY,
+        "error: negative coefficient in [1.2, -0.2, 0.0, 0.0]\n", 2),
+    "nmin_stdout": (
+        ["nmin", "--start", "0.45", "--stop", "0.6", "--step", "0.05"],
+        "cae5f00ef6deb887dddccf1e42949c50d27a596ac45f741c2d5d512f9894c7b4", "", 0),
+    "nmin_out_file": (
+        ["nmin", "--start", "0.7", "--stop", "0.8", "--step", "0.05", "--out", "{out}"],
+        "f92a43802ffbf7a1fc88734aab70246bbe98a8450b1211845f99f3d5c9959c02", "", 0),
+    "iterate_backup": (
+        ["iterate", "--n", "5", "--a0", "0.75"],
+        "dc2c7079e93d2f441a0a988645003bcd58caa2c25796bb299a6499f96eb343e4", "", 0),
+    "iterate_nobackup": (
+        ["iterate", "--n", "6", "--a0", "0.8", "--policy", "nobackup"],
+        "5db17c1d8c634ffad1173d1dbe3e60c67f1f13eb5a2c69bca421b99d304587bd", "", 0),
+    "iterate_drop_even": (
+        ["iterate", "--n", "6", "--a0", "0.8", "--policy", "drop-even"],
+        "e13a817dd39d6f4d863d970d203e67985986e5abaf8fcb95fdbff96f7f357c73", "", 0),
+    "iterate_fu_conditional_exact": (
+        ["iterate", "--n", "4", "--a0", "0.7", "--policy", "nobackup",
+         "--fu", "conditional"],
+        "19d5c8a7fd1e57d9004bc18f15f0fbf65eecab4b0bdf35ccf49854196cae8830", "", 0),
+    "iterate_fu_conditional_mc": (
+        ["iterate", "--n", "6", "--a0", "0.7", "--policy", "nobackup",
+         "--fu", "conditional", "--method", "mc", "--trials", "2000", "--seed", "3"],
+        "4aae319a049f19618221edc891af4b320f630d3a7049e5f58d05e63a3e01314f", "", 0),
+    "iterate_cap": (["iterate", "--n", "5000", "--a0", "0.75"], _EMPTY, _CAP_ERROR, 3),
+    "fig3_drop_even": (
+        ["fig3", "--policy", "drop-even", "--n-list", "3,8", "--start", "0.6",
+         "--stop", "0.8", "--step", "0.1"],
+        "2ea016ccf0f1f1268f297657a4616e05cb490d564d5fa7bc5b2871d78795c3b2", "", 0),
+    "fig4_a0": (
+        ["fig4", "--a0", "0.6", "--n-stop", "8"],
+        "c738180fb413098c19be5ac3121b2da325addd172534e1f9bcb79ceb0bbb7142", "", 0),
+    "verify_oracle": (
+        ["verify-oracle", "--samples", "30", "--seed", "5"],
+        "2caa610303f96b64821597b3f304b637abfa80971ad3bed4d31d60f8a07f7e3f", "", 0),
+    "fig3_cap": (
+        ["fig3", "--n-list", "4097", "--start", "0.7", "--stop", "0.75", "--step", "0.05"],
+        _EMPTY, _CAP_ERROR, 3),
+    "fig4_cap": (["fig4", "--n-start", "4097", "--n-stop", "4097"], _EMPTY, _CAP_ERROR, 3),
+    "fig3_zero_step": (
+        ["fig3", "--step", "0"], _EMPTY,
+        "error: grid requires step > 0 and start < stop\n", 2),
+    "fig4_zero_pairs": (
+        ["fig4", "--n-start", "0", "--n-stop", "3"], _EMPTY,
+        "error: pair count must be >= 1, got 0\n", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_output_and_exit_code(name, capsys, tmp_path):
+    argv, digest, stderr, code = PINNED[name]
+    path = tmp_path / "out.csv"
+    argv = [str(path) if arg == "{out}" else arg for arg in argv]
+    got_code, out, err = run(capsys, *argv)
+    if "--out" in argv:
+        assert out == ""
+        out = path.read_text(encoding="ascii")
+    assert (hashlib.sha256(out.encode("ascii")).hexdigest(), err, got_code) == (
+        digest, stderr, code)
