@@ -11,7 +11,8 @@ Subcommands::
 
 CSV cells are decimal floats with 12 significant digits; rows are ordered
 by the sweep variable and the file ends with a newline.  Exit codes:
-0 success, 1 verification failure, 2 usage error, 3 resource cap.
+0 success, 1 verification failure, 2 usage error (also an unwritable
+``--out`` path), 3 resource cap.
 """
 
 from __future__ import annotations
@@ -257,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ResourceCapError, ValueError) as exc:
+    except (ResourceCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RESOURCE_ERROR if isinstance(exc, ResourceCapError) else USAGE_ERROR
 

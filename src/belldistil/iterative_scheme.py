@@ -4,8 +4,9 @@ Each round processes the live pairs two at a time; survivors of a round are
 one iteration deeper in the success map.  When the live count is odd one
 pair can be stored as a backup and used if everything later fails.  The
 expectation of the final fidelity is computed two ways: exactly, by
-memoized recursion over (live count, depth, backup depth) with binomial
-branch weights, and by seeded Monte Carlo over individual trajectories.
+backward induction over depth on a table over (live count, backup depth)
+that gives every starting count up to N at once, and by seeded Monte Carlo
+over individual trajectories.
 
 The per-run iteration rules, in dispatch order on the current live count n:
 
@@ -26,14 +27,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from . import _kernels
 from .bell_core import BellDiagonalState, iterate_map, success_probability, werner
 from .errors import ResourceCapError
-from .finite_ensemble import binomial_pmf
 
 #: Largest pair count accepted by the exact expectation.
 EXACT_N_CAP = 4096
@@ -139,38 +138,63 @@ def run_trajectory(
     return float(out[0])
 
 
-def expected_fidelity_exact(
-    n: int, s0: BellDiagonalState, policy: IterationPolicy
-) -> float:
-    """Exact expectation of the trajectory fidelity.
-
-    Memoized over (live count, depth, backup depth); coefficients are
-    recomputed from the depth tables, never stored per node.
-    """
+def _checked_n(n: int, policy: IterationPolicy) -> int:
     n = _effective_n(n, policy)
     if n > EXACT_N_CAP:
         raise ResourceCapError(
             f"exact expectation capped at n = {EXACT_N_CAP}; "
             "use expected_fidelity_mc for larger samples"
         )
+    return n
+
+
+def _exact_table(
+    s0: BellDiagonalState, n: int, policy: IterationPolicy
+) -> np.ndarray:
+    """Exact expectation for every starting count 0 .. n, by backward
+    induction over depth.
+
+    ``value[live, slot]`` is one minus the expectation on entering a depth
+    with ``live`` pairs; slot 0 means no backup and slot k + 1 a backup
+    stored at depth k, so the table at depth d has d + 1 slots.  Averaging
+    the small infidelity instead of the fidelity keeps the rounding of the
+    branch averages relative to it.  The average over Binomial(m, p)
+    survivors is row 0 of ``(q + p * shift)**m`` applied to the deeper
+    table.
+    """
     fid, psucc = _depth_tables(s0, n)
+    loss = 1.0 - fid
+    value = None
+    for depth in reversed(range(n.bit_length())):
+        top = n >> depth
+        deeper, value = value, np.empty((top + 1, depth + 1))
+        value[0, 0] = 1.0 - policy.failure_fidelity
+        value[0, 1:] = loss[:depth]
+        value[1] = loss[depth]
+        if top >= 2:
+            p = psucc[depth]
+            # after[k - 1] averages the deeper table over the survivors of k steps
+            w, after = deeper, np.empty((top // 2, depth + 2))
+            for row in after:
+                w = (1.0 - p) * w[:-1] + p * w[1:]
+                row[:] = w[0]
+            value[2::2] = after[:, : depth + 1]
+            # an odd count stores one pair at this depth, replacing any older backup
+            odd = after[: (top - 1) // 2]
+            value[3::2] = (
+                odd[:, depth + 1 :] if policy.backup_enabled else odd[:, : depth + 1]
+            )
+            if policy.stop_at_two_without_backup:
+                value[2, 0] = loss[depth]
+    return 1.0 - value[:, 0]
 
-    @cache
-    def value(live: int, depth: int, backup: int | None) -> float:
-        if live == 0:
-            return float(fid[backup]) if backup is not None else policy.failure_fidelity
-        if live == 1:
-            return float(fid[depth])
-        if live == 2 and backup is None and policy.stop_at_two_without_backup:
-            return float(fid[depth])
-        if live % 2:
-            if policy.backup_enabled:
-                backup = depth
-            live -= 1
-        weights = binomial_pmf(live // 2, float(psucc[depth]))
-        return sum(w * value(j, depth + 1, backup) for j, w in enumerate(weights))
 
-    return value(n, 0, None)
+def expected_fidelity_exact(
+    n: int, s0: BellDiagonalState, policy: IterationPolicy
+) -> float:
+    """Exact expectation of the trajectory fidelity."""
+    n = _checked_n(n, policy)
+    return float(_exact_table(s0, n, policy)[n])
 
 
 def expected_fidelity_mc(
@@ -234,11 +258,13 @@ def expected_fidelity_mc(
 def sweep_over_n(
     s0: BellDiagonalState, n_range: range | list[int], policy: IterationPolicy
 ) -> list[tuple[int, float, float]]:
-    """Exact expectation and all-success reference for each pair count."""
-    return [
-        (n, expected_fidelity_exact(n, s0, policy), fully_successful_fidelity(s0, n))
-        for n in n_range
-    ]
+    """Exact expectation and all-success reference for each pair count,
+    all read from one table at the largest count."""
+    counts = [(n, _checked_n(n, policy)) for n in n_range]
+    if not counts:
+        return []
+    table = _exact_table(s0, max(m for _, m in counts), policy)
+    return [(n, float(table[m]), fully_successful_fidelity(s0, n)) for n, m in counts]
 
 
 def sweep_over_fidelity(

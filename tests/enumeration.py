@@ -3,29 +3,32 @@
 These deliberately avoid the production shortcuts: no binomial weights, no
 memoization.  Every per-round success/failure pattern is enumerated as an
 explicit bitstring and weighted by its product probability, so agreement
-with the dynamic program is a genuine cross-check.
+with the dynamic program is a genuine cross-check.  numpy only lists the
+patterns and multiplies out their weights; each pattern is still followed
+on its own.
 """
 
 from __future__ import annotations
 
-import itertools
+import numpy as np
 
 from belldistil.bell_core import BellDiagonalState, iterate_map, success_probability
 from belldistil.iterative_scheme import IterationPolicy
+
+
+def _patterns(steps: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Success count and product probability of each of the 2**steps
+    success/failure patterns of one round, one row per bitstring."""
+    bits = (np.arange(2**steps)[:, None] >> np.arange(steps - 1, -1, -1)) & 1
+    return bits.sum(axis=1), np.where(bits == 1, p, 1.0 - p).prod(axis=1)
 
 
 def pattern_pmf(n: int, s: BellDiagonalState) -> list[float]:
     """Survivor distribution of one round on n pairs by enumerating all
     2**(n/2) success/failure patterns."""
     assert n >= 2 and n % 2 == 0
-    p = success_probability(s)
-    pmf = [0.0] * (n // 2 + 1)
-    for pattern in itertools.product((0, 1), repeat=n // 2):
-        weight = 1.0
-        for bit in pattern:
-            weight *= p if bit else 1.0 - p
-        pmf[sum(pattern)] += weight
-    return pmf
+    counts, weights = _patterns(n // 2, success_probability(s))
+    return np.bincount(counts, weights=weights, minlength=n // 2 + 1).tolist()
 
 
 def enumerate_expectation(
@@ -41,29 +44,32 @@ def enumerate_expectation(
     if policy.drop_one_when_even and n % 2 == 0:
         n -= 1
     max_depth = 0
+    chain = [s0]  # success-map iterates by depth, extended on demand
+
+    def state(depth: int) -> BellDiagonalState:
+        while len(chain) <= depth:
+            chain.append(iterate_map(chain[-1], 1))
+        return chain[depth]
 
     def rec(live: int, depth: int, backup: int | None, prob: float) -> float:
         nonlocal max_depth
         max_depth = max(max_depth, depth)
         if live == 0:
             if backup is not None:
-                return prob * iterate_map(s0, backup).a
+                return prob * state(backup).a
             return prob * policy.failure_fidelity
         if live == 1:
-            return prob * iterate_map(s0, depth).a
+            return prob * state(depth).a
         if live == 2 and backup is None and policy.stop_at_two_without_backup:
-            return prob * iterate_map(s0, depth).a
+            return prob * state(depth).a
         if live % 2:
             if policy.backup_enabled:
                 backup = depth
             live -= 1
-        p = success_probability(iterate_map(s0, depth))
-        total = 0.0
-        for pattern in itertools.product((0, 1), repeat=live // 2):
-            weight = prob
-            for bit in pattern:
-                weight *= p if bit else 1.0 - p
-            total += rec(sum(pattern), depth + 1, backup, weight)
-        return total
+        counts, weights = _patterns(live // 2, success_probability(state(depth)))
+        return sum(
+            rec(j, depth + 1, backup, w)
+            for j, w in zip(counts.tolist(), (prob * weights).tolist())
+        )
 
     return rec(n, 0, None, 1.0), max_depth

@@ -178,6 +178,7 @@ _CAP_ERROR = (
 
 #: (argv, SHA-256 of stdout or of the ``--out`` file, exact stderr, exit code).
 #: ``{out}`` in argv stands for a fresh file path; stdout must then be empty.
+#: ``{missing}`` in argv and stderr stands for a path in a missing directory.
 PINNED = {
     "step_valid": (
         ["step", "0.75", "0.0833333333333333", "0.0833333333333333",
@@ -234,6 +235,13 @@ PINNED = {
     "fig3_zero_step": (
         ["fig3", "--step", "0"], _EMPTY,
         "error: grid requires step > 0 and start < stop\n", 2),
+    "nmin_out_missing_dir": (
+        ["nmin", "--start", "0.7", "--stop", "0.8", "--step", "0.05", "--out",
+         "{missing}"], _EMPTY,
+        "error: [Errno 2] No such file or directory: '{missing}'\n", 2),
+    "fig4_out_missing_dir": (
+        ["fig4", "--n-stop", "4", "--out", "{missing}"], _EMPTY,
+        "error: [Errno 2] No such file or directory: '{missing}'\n", 2),
     "fig4_zero_pairs": (
         ["fig4", "--n-start", "0", "--n-stop", "3"], _EMPTY,
         "error: pair count must be >= 1, got 0\n", 2),
@@ -244,9 +252,12 @@ PINNED = {
 def test_pinned_output_and_exit_code(name, capsys, tmp_path):
     argv, digest, stderr, code = PINNED[name]
     path = tmp_path / "out.csv"
-    argv = [str(path) if arg == "{out}" else arg for arg in argv]
+    missing = str(tmp_path / "missing" / "out.csv")
+    stderr = stderr.replace("{missing}", missing)
+    to_file = "{out}" in argv
+    argv = [{"{out}": str(path), "{missing}": missing}.get(arg, arg) for arg in argv]
     got_code, out, err = run(capsys, *argv)
-    if "--out" in argv:
+    if to_file:
         assert out == ""
         out = path.read_text(encoding="ascii")
     assert (hashlib.sha256(out.encode("ascii")).hexdigest(), err, got_code) == (

@@ -95,6 +95,23 @@ class TestExpectedFidelityExact:
         # the cap itself is accepted
         assert 0.5 <= expected_fidelity_exact(4096, WERNER_075, BACKUP) <= 1.0
 
+    def test_near_purity_keeps_its_digits(self):
+        # References computed with mpmath at 45 significant digits from the
+        # exact Werner input a = 3/4, b = c = d = 1/12: the DEJMPS success
+        # map and the failure weight 2(a+b)(c+d) iterated at that precision,
+        # and the expectation summed over every binomial branch; rounded
+        # to 20 digits.
+        references = {
+            (1024, BACKUP): 0.99999999989375751188,
+            (1024, NO_BACKUP): 0.99999984568077204776,
+            (2048, BACKUP): 0.99999999999999976226,
+            (2048, NO_BACKUP): 0.99999999998700284698,
+        }
+        for (n, policy), reference in references.items():
+            value = expected_fidelity_exact(n, WERNER_075, policy)
+            assert abs(value - reference) <= 1e-14, (n, policy)
+            assert value <= 1.0, (n, policy)
+
     def test_backup_dominance(self):
         for n in range(3, 13):
             for a in (0.55, 0.6, 0.75, 0.9, 0.95):
@@ -197,6 +214,24 @@ class TestSweeps:
         rows = sweep_over_n(WERNER_075, [5], BACKUP)
         assert rows[0][0] == 5
         assert rows[0][1] == pytest.approx(E5, abs=1e-14)
+        # one table serves every count: rows equal the per-N calls bit for bit
+        counts = [7, 3, 12, 1, 2, 128]
+        relaxed = IterationPolicy(stop_at_two_without_backup=False)
+        for policy in (BACKUP, NO_BACKUP, DROP_ONE, relaxed):
+            rows = sweep_over_n(WERNER_075, counts, policy)
+            assert rows == [
+                (
+                    n,
+                    expected_fidelity_exact(n, WERNER_075, policy),
+                    fully_successful_fidelity(WERNER_075, n),
+                )
+                for n in counts
+            ], policy
+        assert sweep_over_n(WERNER_075, range(5, 3), BACKUP) == []
+        with pytest.raises(ValueError):
+            sweep_over_n(WERNER_075, [0, 5], BACKUP)
+        with pytest.raises(ResourceCapError):
+            sweep_over_n(WERNER_075, [5000, 0], BACKUP)
 
     def test_fully_successful_reference(self):
         assert fully_successful_fidelity(WERNER_075, 4) == pytest.approx(
