@@ -1,15 +1,12 @@
 from setuptools import Extension, setup
 
-# The trajectory kernel is compiled from the shipped C file, which Cython
-# generates from src/belldistil/_trajectory_cy.pyx (tests/test_kernel_source.py
-# checks that it is current).  A C compiler and the Python headers are all the
-# build needs; after editing the .pyx, regenerate the C file by hand with
-# `cython -3 src/belldistil/_trajectory_cy.pyx`.
+# The trajectory kernel is the hand-written C file below; a C compiler and
+# the Python headers are all the build needs.
 setup(
     ext_modules=[
         Extension(
-            "belldistil._trajectory_cy",
-            ["src/belldistil/_trajectory_cy.c"],
+            "belldistil._trajectory_c",
+            ["src/belldistil/_trajectory_c.c"],
             extra_compile_args=["-O3"],
         )
     ]

@@ -1,11 +1,11 @@
 """Pure-Python trajectory kernel.
 
-Reference implementation of the per-run iteration loop.  The compiled twin
-in ``_trajectory_cy`` implements byte-for-byte identical semantics; both
-consume pre-generated uniform variates so that results are independent of
-execution order and thread count.  Uniform consumption per trajectory is
-bounded by the initial pair count (each round uses floor(n/2) variates and
-survivors at most halve).
+Reference implementation of the per-run iteration loop.  The compiled twin,
+the C extension ``_trajectory_c`` (source ``_trajectory_c.c``), implements
+byte-for-byte identical semantics; both consume pre-generated uniform
+variates so that results are independent of execution order and thread
+count.  Uniform consumption per trajectory is bounded by the initial pair
+count (each round uses floor(n/2) variates and survivors at most halve).
 """
 
 from __future__ import annotations

@@ -102,6 +102,17 @@ def success_probability(s: BellDiagonalState) -> float:
     return (s.a + s.b) ** 2 + (s.c + s.d) ** 2
 
 
+def _success_state(s: BellDiagonalState, p: float) -> BellDiagonalState:
+    """Post-state of a successful step on ``s``, given its success weight ``p``."""
+    a, b, c, d = s.as_tuple()
+    return BellDiagonalState(
+        (a * a + b * b) / p,
+        2.0 * c * d / p,
+        (c * c + d * d) / p,
+        2.0 * a * b / p,
+    )
+
+
 def distill_step(s: BellDiagonalState) -> StepOutcome:
     """One two-pair step: success/failure post-states and the success weight.
 
@@ -111,12 +122,7 @@ def distill_step(s: BellDiagonalState) -> StepOutcome:
     """
     a, b, c, d = s.as_tuple()
     p = success_probability(s)
-    success = BellDiagonalState(
-        (a * a + b * b) / p,
-        2.0 * c * d / p,
-        (c * c + d * d) / p,
-        2.0 * a * b / p,
-    )
+    success = _success_state(s, p)
     # Since (a+b) + (c+d) = 1, the failure weight 1 - p equals
     # 2(a+b)(c+d) exactly; the product form stays accurate when p -> 1.
     q = 2.0 * (a + b) * (c + d)
@@ -148,5 +154,5 @@ def iterate_map(s: BellDiagonalState, k: int) -> BellDiagonalState:
     if k < 0:
         raise ValueError(f"iteration count must be >= 0, got {k}")
     for _ in range(k):
-        s = distill_step(s).success_state
+        s = _success_state(s, success_probability(s))
     return s

@@ -37,8 +37,9 @@ from .errors import ResourceCapError
 #: Largest pair count accepted by the exact expectation.
 EXACT_N_CAP = 4096
 
-#: Trials per work unit when Monte Carlo runs on several threads.
-_MC_CHUNK = 8192
+#: Uniforms Monte Carlo draws at once per worker (2 MiB): a block of trials
+#: holds at most this many doubles, or one trial's worth when n is larger.
+_MC_BLOCK_DOUBLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -207,22 +208,30 @@ def expected_fidelity_mc(
 ) -> TrialStats:
     """Monte Carlo estimate over ``trials`` independent trajectories.
 
-    Trial t consumes the t-th fixed-width block of a counter-based Philox
+    Trial t consumes doubles t*n .. t*n + n - 1 of a counter-based Philox
     stream keyed by ``seed``, so results are bit-identical for a given
     (seed, trials, n, s0, policy) regardless of worker count or execution
     order; aggregation is exact summation over the trial-ordered results.
+    Trials run in blocks of ``max(1, _MC_BLOCK_DOUBLES // n)``; each block
+    starts its own generator at its place in the stream (the counter
+    advances once per four doubles), so each worker holds the uniforms of
+    one block at a time.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
     n = _effective_n(n, policy)
     fid, psucc = _depth_tables(s0, n)
-    u = np.random.Generator(np.random.Philox(key=seed)).random((trials, n))
     out = np.empty(trials)
     failed = np.zeros(trials, dtype=np.uint8)
+    block = max(1, _MC_BLOCK_DOUBLES // n)
 
-    def run_slice(lo: int, hi: int) -> None:
+    def run_block(lo: int) -> None:
+        hi = min(lo + block, trials)
+        start, skip = divmod(lo * n, 4)
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=start))
+        rng.random(skip)
         _kernels.simulate(
-            u[lo:hi],
+            rng.random((hi - lo, n)),
             n,
             psucc,
             fid,
@@ -233,17 +242,13 @@ def expected_fidelity_mc(
             failed[lo:hi],
         )
 
-    if workers <= 1 or trials <= _MC_CHUNK:
-        run_slice(0, trials)
+    starts = range(0, trials, block)
+    if workers <= 1:
+        for lo in starts:
+            run_block(lo)
     else:
-        bounds = list(range(0, trials, _MC_CHUNK)) + [trials]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(run_slice, lo, hi)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            for f in futures:
-                f.result()
+            list(pool.map(run_block, starts))
 
     mean = math.fsum(out) / trials
     std_error = float(np.std(out, ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0

@@ -209,7 +209,12 @@ class TestIterateMap:
         assert iterate_map(WERNER_075, 0) == WERNER_075
 
     def test_single_application(self):
-        assert iterate_map(WERNER_075, 1) == distill_step(WERNER_075).success_state
+        # the same arithmetic as the success branch of distill_step, bit for bit
+        for s in [WERNER_075] + simplex_states(50, seed=3):
+            assert iterate_map(s, 1) == distill_step(s).success_state
+            assert iterate_map(s, 3) == distill_step(
+                distill_step(distill_step(s).success_state).success_state
+            ).success_state
 
     def test_two_applications(self):
         assert iterate_map(WERNER_075, 2).a == pytest.approx(841 / 932, abs=1e-12)

@@ -1,3 +1,10 @@
+import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +14,7 @@ from belldistil import (
     NO_BACKUP,
     IterationPolicy,
     ResourceCapError,
+    TrialStats,
     expected_fidelity_exact,
     expected_fidelity_mc,
     fully_successful_fidelity,
@@ -18,7 +26,7 @@ from belldistil import (
 )
 from belldistil import _trajectory_py
 from belldistil._kernels import IMPL, simulate
-from belldistil.iterative_scheme import _depth_tables, depth_cap
+from belldistil.iterative_scheme import _MC_BLOCK_DOUBLES, _depth_tables, depth_cap
 
 from enumeration import enumerate_expectation
 
@@ -190,23 +198,124 @@ class TestExpectedFidelityMC:
         # a run fails only when both first-round steps fail: (5/18)^2
         assert stats.failure_rate == pytest.approx((5 / 18) ** 2, abs=0.005)
 
+    def test_pinned_trial_stats(self):
+        # Captured from the implementation that drew the whole (trials, n)
+        # matrix at once.  Each case spans more than two blocks; for the
+        # effective n = 7, 9 and 8193 the block boundaries fall inside a
+        # four-double Philox output.
+        relaxed = IterationPolicy(stop_at_two_without_backup=False)
+        cases = {
+            (7, 0.75, 3, BACKUP, 80_000):
+                (0.8463635069329812, 0.00022782002145522483, 0.0),
+            (12, 0.55, 0, NO_BACKUP, 50_000):
+                (0.5650250356653865, 0.00017526103740514407, 0.242),
+            (10, 0.95, 5, DROP_ONE, 60_000):
+                (0.9982362436287153, 2.482533843370072e-05, 0.0),
+            (6, 0.75, 11, relaxed, 100_000):
+                (0.8064686819082206, 0.0004485514935388824, 0.15847),
+            (5001, 0.52, 1, BACKUP, 150):
+                (0.6760088692405675, 0.0044565952232071175, 0.0),
+            (8193, 0.505, 2, NO_BACKUP, 100):
+                (0.5367726518942318, 0.0020775775881142896, 0.22),
+        }
+        for (n, a0, seed, policy, trials), pinned in cases.items():
+            assert trials > 2 * max(1, _MC_BLOCK_DOUBLES // n)
+            for workers in (1, 4):
+                stats = expected_fidelity_mc(
+                    n, werner(a0), policy, trials, seed, workers=workers
+                )
+                assert stats == TrialStats(trials, *pinned), (n, seed, workers)
+
+    def test_uniform_memory_is_bounded(self):
+        # the whole (trials, n) matrix would take 131 MB
+        tracemalloc.start()
+        try:
+            expected_fidelity_mc(8192, werner(0.55), BACKUP, trials=2000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_kernel_twins_are_bit_identical(self):
-        n = 7
+        for n in (1, 2, 3, 4, 7, 12, 33, 512):
+            fid, psucc = _depth_tables(WERNER_075, n)
+            trials = 2_000 if n < 100 else 200
+            u = np.random.Generator(np.random.Philox(key=99)).random((trials, n))
+            for backup_enabled, stop_at_two in itertools.product((True, False), repeat=2):
+                for failure_fidelity in (0.5, 0.37):
+                    results = []
+                    for impl in (simulate, _trajectory_py.simulate):
+                        out = np.empty(trials)
+                        failed = np.zeros(trials, dtype=np.uint8)
+                        impl(u, n, psucc, fid, backup_enabled, stop_at_two,
+                             failure_fidelity, out, failed)
+                        results.append((out, failed))
+                    case = (n, backup_enabled, stop_at_two, failure_fidelity)
+                    assert np.array_equal(results[0][0], results[1][0]), case
+                    assert np.array_equal(results[0][1], results[1][1]), case
+
+    def test_compiled_kernel_rejects_bad_buffers(self):
+        from belldistil import _trajectory_c
+
+        n, trials = 7, 10
         fid, psucc = _depth_tables(WERNER_075, n)
-        u = np.random.Generator(np.random.Philox(key=99)).random((5_000, n))
-        results = []
-        for impl in (simulate, _trajectory_py.simulate):
-            out = np.empty(len(u))
-            failed = np.zeros(len(u), dtype=np.uint8)
-            impl(u, n, psucc, fid, True, True, 0.5, out, failed)
-            results.append((out.copy(), failed.copy()))
-        assert np.array_equal(results[0][0], results[1][0])
-        assert np.array_equal(results[0][1], results[1][1])
+        u = np.random.default_rng(0).random((trials, n))
+        # out and failed are views between sentinels, so a stray write shows
+        out_base = np.full(trials + 2, -1.0)
+        failed_base = np.full(trials + 2, 7, dtype=np.uint8)
+        out, failed = out_base[1:-1], failed_base[1:-1]
+        read_only = np.empty(trials)
+        read_only.flags.writeable = False
+        bad = {
+            "float32 u": dict(u=u.astype(np.float32)),
+            "float64 failed": dict(failed=np.zeros(trials)),
+            "non-contiguous u": dict(u=np.repeat(u, 2, axis=1)[:, ::2]),
+            "read-only out": dict(out=read_only),
+            "1-d u": dict(u=u.ravel()),
+            "u narrower than n0": dict(u=u[:, :-1].copy()),
+            "tables shorter than the depth": dict(fid=fid[:2].copy()),
+            "out shorter than u": dict(out=out[:-1]),
+        }
+        for name, override in bad.items():
+            args = dict(u=u, n0=n, psucc=psucc, fid=fid, backup_enabled=True,
+                        stop_at_two=True, failure_fidelity=0.5, out=out,
+                        failed=failed)
+            args.update(override)
+            with pytest.raises(ValueError):
+                _trajectory_c.simulate(**args)
+            assert (out_base == -1.0).all() and (failed_base == 7).all(), name
+        _trajectory_c.simulate(u, n, psucc, fid, True, True, 0.5, out, failed)
+        assert out_base[0] == out_base[-1] == -1.0
+        assert failed_base[0] == failed_base[-1] == 7
 
     def test_compiled_kernel_is_active(self):
         # the build produces the extension; if this fails the fallback is
-        # silently in use and the benchmark comparison is meaningless
+        # in use and the benchmark comparison is meaningless
         assert IMPL == "compiled"
+
+    def test_fallback_warns_and_names_the_module(self):
+        # a fresh interpreter in which the compiled module cannot be imported
+        code = (
+            "import sys, warnings\n"
+            "sys.modules['belldistil._trajectory_c'] = None\n"
+            "with warnings.catch_warnings(record=True) as caught:\n"
+            "    warnings.simplefilter('always')\n"
+            "    from belldistil import _kernels\n"
+            "print(_kernels.IMPL)\n"
+            "for w in caught:\n"
+            "    print(w.category.__name__, w.message)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        impl, *warned = proc.stdout.splitlines()
+        assert impl == "python"
+        assert len(warned) == 1
+        assert warned[0].startswith("RuntimeWarning ")
+        assert "belldistil._trajectory_c" in warned[0]
 
 
 class TestSweeps:
