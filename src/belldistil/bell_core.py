@@ -30,6 +30,35 @@ UNREACHABLE_ATOL = 1e-14
 #: reported as the failure branch when that branch has zero probability.
 LOCC_FLOOR_COEFFS = (0.5, 0.5, 0.0, 0.0)
 
+_Coeffs = tuple[float, float, float, float]
+
+
+def _normalized(a: float, b: float, c: float, d: float) -> _Coeffs:
+    """The one state check: clamp cancellation residue, check, renormalize.
+
+    Every constructed state and every application of a step map passes
+    through here exactly once (renormalizing is not idempotent in floating
+    point).  The comparisons are written so that NaN fails them.
+    """
+    if not (a >= CLAMP_FLOOR and b >= CLAMP_FLOOR and c >= CLAMP_FLOOR
+            and d >= CLAMP_FLOOR):
+        coeffs = (a, b, c, d)
+        bad = next(x for x in coeffs if not x >= CLAMP_FLOOR)
+        kind = "NaN" if bad != bad else "negative"
+        raise InvalidStateError(f"{kind} coefficient {bad!r} in {coeffs!r}")
+    # the same as max(x, 0.0): residue becomes 0.0 and -0.0 stays -0.0
+    clamped = (
+        0.0 if a < 0.0 else a,
+        0.0 if b < 0.0 else b,
+        0.0 if c < 0.0 else c,
+        0.0 if d < 0.0 else d,
+    )
+    total = sum(clamped)
+    if not abs(total - 1.0) <= NORM_ATOL:
+        raise InvalidStateError(f"coefficients sum to {total!r}, expected 1")
+    a, b, c, d = clamped
+    return (a / total, b / total, c / total, d / total)
+
 
 @dataclass(frozen=True)
 class BellDiagonalState:
@@ -37,7 +66,8 @@ class BellDiagonalState:
 
     The vector must lie on the probability simplex.  Tiny negative entries
     from floating-point cancellation are clamped to zero and the vector is
-    renormalized; genuinely invalid input raises :class:`InvalidStateError`.
+    renormalized; genuinely invalid input, NaN included, raises
+    :class:`InvalidStateError`.
     """
 
     a: float
@@ -46,16 +76,7 @@ class BellDiagonalState:
     d: float
 
     def __post_init__(self) -> None:
-        coeffs = (self.a, self.b, self.c, self.d)
-        for x in coeffs:
-            if x < CLAMP_FLOOR:
-                raise InvalidStateError(f"negative coefficient {x!r} in {coeffs!r}")
-        clamped = [max(x, 0.0) for x in coeffs]
-        total = sum(clamped)
-        if abs(total - 1.0) > NORM_ATOL:
-            raise InvalidStateError(f"coefficients sum to {total!r}, expected 1")
-        for name, value in zip("abcd", (x / total for x in clamped)):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(zip("abcd", _normalized(self.a, self.b, self.c, self.d)))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
@@ -99,18 +120,48 @@ def is_distillable(s: BellDiagonalState) -> bool:
 
 def success_probability(s: BellDiagonalState) -> float:
     """Probability (a+b)^2 + (c+d)^2 that a step keeps pair 1."""
-    return (s.a + s.b) ** 2 + (s.c + s.d) ** 2
+    return _success_weight(*s.as_tuple())
 
 
-def _success_state(s: BellDiagonalState, p: float) -> BellDiagonalState:
-    """Post-state of a successful step on ``s``, given its success weight ``p``."""
-    a, b, c, d = s.as_tuple()
-    return BellDiagonalState(
+# The step maps on plain coefficient floats.  Their inputs are coefficients
+# of a valid state; each application validates its output once, through
+# _normalized.
+
+
+def _success_weight(a: float, b: float, c: float, d: float) -> float:
+    return (a + b) ** 2 + (c + d) ** 2
+
+
+def _success_coeffs(a: float, b: float, c: float, d: float, p: float) -> _Coeffs:
+    """Post-state of a successful step, given its success weight ``p``."""
+    return _normalized(
         (a * a + b * b) / p,
         2.0 * c * d / p,
         (c * c + d * d) / p,
         2.0 * a * b / p,
     )
+
+
+def _failure_coeffs(a: float, b: float, c: float, d: float) -> _Coeffs | None:
+    """Post-state of a failed step, or None when failure is unreachable."""
+    # Since (a+b) + (c+d) = 1, the failure weight 1 - p equals
+    # 2(a+b)(c+d) exactly; the product form stays accurate when p -> 1.
+    q = 2.0 * (a + b) * (c + d)
+    if q < UNREACHABLE_ATOL:
+        return None
+    return _normalized(
+        (a * c + b * d) / q,
+        (a * d + b * c) / q,
+        (a * c + b * d) / q,
+        (a * d + b * c) / q,
+    )
+
+
+def _state(coeffs: _Coeffs) -> BellDiagonalState:
+    """A state from coefficients that :func:`_normalized` already returned."""
+    s = object.__new__(BellDiagonalState)
+    s.__dict__.update(zip("abcd", coeffs))
+    return s
 
 
 def distill_step(s: BellDiagonalState) -> StepOutcome:
@@ -120,21 +171,13 @@ def distill_step(s: BellDiagonalState) -> StepOutcome:
     already folded into these coefficient maps; no separate rotation is
     exposed on coefficient vectors.
     """
-    a, b, c, d = s.as_tuple()
-    p = success_probability(s)
-    success = _success_state(s, p)
-    # Since (a+b) + (c+d) = 1, the failure weight 1 - p equals
-    # 2(a+b)(c+d) exactly; the product form stays accurate when p -> 1.
-    q = 2.0 * (a + b) * (c + d)
-    if q < UNREACHABLE_ATOL:
+    coeffs = s.as_tuple()
+    p = _success_weight(*coeffs)
+    success = _state(_success_coeffs(*coeffs, p))
+    failure = _failure_coeffs(*coeffs)
+    if failure is None:
         return StepOutcome(p, success, BellDiagonalState(*LOCC_FLOOR_COEFFS), False)
-    failure = BellDiagonalState(
-        (a * c + b * d) / q,
-        (a * d + b * c) / q,
-        (a * c + b * d) / q,
-        (a * d + b * c) / q,
-    )
-    return StepOutcome(p, success, failure)
+    return StepOutcome(p, success, _state(failure))
 
 
 def avg_fidelity_single_locc(s: BellDiagonalState) -> float:
@@ -153,6 +196,7 @@ def iterate_map(s: BellDiagonalState, k: int) -> BellDiagonalState:
     """k-fold composition of the success branch of :func:`distill_step`."""
     if k < 0:
         raise ValueError(f"iteration count must be >= 0, got {k}")
+    coeffs = s.as_tuple()
     for _ in range(k):
-        s = _success_state(s, success_probability(s))
-    return s
+        coeffs = _success_coeffs(*coeffs, _success_weight(*coeffs))
+    return _state(coeffs)

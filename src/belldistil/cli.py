@@ -12,12 +12,14 @@ Subcommands::
 CSV cells are decimal floats with 12 significant digits; rows are ordered
 by the sweep variable and the file ends with a newline.  Exit codes:
 0 success, 1 verification failure, 2 usage error (also an unwritable
-``--out`` path), 3 resource cap.
+``--out`` path, or a NaN or infinite coefficient or grid bound), 3 resource
+cap.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from typing import Iterable
@@ -65,6 +67,8 @@ def _fmt(x: float) -> str:
 
 
 def _a_grid(start: float, stop: float, step: float) -> list[float]:
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError("grid requires finite start, stop and step")
     if step <= 0 or start >= stop:
         raise ValueError("grid requires step > 0 and start < stop")
     n = int(round((stop - start) / step))
@@ -86,11 +90,11 @@ def _parse_state(values: list[float]) -> BellDiagonalState:
         raise InvalidStateError(f"negative coefficient in {values!r}")
     total = sum(values)
     dev = abs(total - 1.0)
-    if dev > 1e-9:
+    if not dev <= 1e-9:
         raise InvalidStateError(
             f"coefficients sum to {total!r}; deviations above 1e-9 are rejected"
         )
-    if dev > 1e-12:
+    if not dev <= 1e-12:
         print(
             f"warning: renormalizing input (sum deviates by {dev:.3g})",
             file=sys.stderr,
@@ -119,9 +123,10 @@ def cmd_nmin(args: argparse.Namespace) -> int:
     rows = []
     for a in _a_grid(args.start, args.stop, args.step):
         cells = [_fmt(a)]
+        s = werner(a)
         for conv in (UnsuccessfulConvention.LOCC_FLOOR, UnsuccessfulConvention.CONDITIONAL):
             try:
-                value = n_min(werner(a), conv)
+                value = n_min(s, conv)
                 cells += [_fmt(value), str(round_up_even(value))]
             except (NotDistillableError, FallbackAboveTargetError):
                 cells += ["", ""]

@@ -11,7 +11,13 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .bell_core import BellDiagonalState, distill_step, success_probability
+from .bell_core import (
+    BellDiagonalState,
+    _failure_coeffs,
+    _success_coeffs,
+    _success_weight,
+    success_probability,
+)
 from .errors import FallbackAboveTargetError, NotDistillableError
 
 #: Above this number of trials, binomial weights switch from exact integer
@@ -76,8 +82,8 @@ def unsuccessful_fidelity(s: BellDiagonalState, conv: UnsuccessfulConvention) ->
     """F_u under the chosen convention; the LOCC floor when failure is unreachable."""
     if conv is UnsuccessfulConvention.LOCC_FLOOR:
         return 0.5
-    step = distill_step(s)
-    return step.failure_state.a if step.failure_reachable else 0.5
+    failure = _failure_coeffs(*s.as_tuple())
+    return 0.5 if failure is None else failure[0]
 
 
 def avg_fidelity_one_round(
@@ -85,10 +91,11 @@ def avg_fidelity_one_round(
 ) -> float:
     """Round-averaged fidelity: all-fail weight takes F_u, the rest F(success)."""
     _require_even(n)
-    step = distill_step(s)
-    p_all_fail = (1.0 - step.p_success) ** (n // 2)
+    coeffs = s.as_tuple()
+    p = _success_weight(*coeffs)
+    p_all_fail = (1.0 - p) ** (n // 2)
     f_u = unsuccessful_fidelity(s, conv)
-    return p_all_fail * f_u + (1.0 - p_all_fail) * step.success_state.a
+    return p_all_fail * f_u + (1.0 - p_all_fail) * _success_coeffs(*coeffs, p)[0]
 
 
 def n_min(s: BellDiagonalState, conv: UnsuccessfulConvention) -> float:
@@ -99,8 +106,9 @@ def n_min(s: BellDiagonalState, conv: UnsuccessfulConvention) -> float:
     cannot gain fidelity (a <= 1/2) and :class:`FallbackAboveTargetError`
     when F_u already meets the target fidelity.
     """
-    step = distill_step(s)
-    f_s = step.success_state.a
+    coeffs = s.as_tuple()
+    p = _success_weight(*coeffs)
+    f_s = _success_coeffs(*coeffs, p)[0]
     if s.a <= 0.5 or f_s <= s.a:
         raise NotDistillableError(
             f"fidelity {s.a!r} cannot be increased by a distillation step"
@@ -110,7 +118,7 @@ def n_min(s: BellDiagonalState, conv: UnsuccessfulConvention) -> float:
         raise FallbackAboveTargetError(
             f"fallback fidelity {f_u!r} already >= target {s.a!r}"
         )
-    return 2.0 * math.log((s.a - f_s) / (f_u - f_s)) / math.log(1.0 - step.p_success)
+    return 2.0 * math.log((s.a - f_s) / (f_u - f_s)) / math.log(1.0 - p)
 
 
 def round_up_even(x: float) -> int:

@@ -31,7 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bell_core import BellDiagonalState, iterate_map, success_probability, werner
+from .bell_core import (
+    BellDiagonalState,
+    _success_coeffs,
+    _success_weight,
+    iterate_map,
+    werner,
+)
 from .errors import ResourceCapError
 
 #: Largest pair count accepted by the exact expectation.
@@ -86,12 +92,15 @@ def depth_cap(n: int) -> int:
 def _depth_tables(s0: BellDiagonalState, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Fidelity and step success probability of the success-map iterates,
     indexed by depth 0 .. depth_cap(n) + 1."""
-    states = [s0]
+    coeffs = s0.as_tuple()
+    p = _success_weight(*coeffs)
+    fid, psucc = [coeffs[0]], [p]
     for _ in range(depth_cap(n) + 1):
-        states.append(iterate_map(states[-1], 1))
-    fid = np.array([s.a for s in states])
-    psucc = np.array([success_probability(s) for s in states])
-    return fid, psucc
+        coeffs = _success_coeffs(*coeffs, p)
+        p = _success_weight(*coeffs)
+        fid.append(coeffs[0])
+        psucc.append(p)
+    return np.array(fid), np.array(psucc)
 
 
 def _effective_n(n: int, policy: IterationPolicy) -> int:

@@ -14,6 +14,7 @@ pair is Alice-major (A, B) with computational basis order 00, 01, 10, 11.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -83,6 +84,16 @@ def bell_coefficients(m: np.ndarray) -> BellDiagonalState:
     return BellDiagonalState(*diag.real)
 
 
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
+# The gates and projectors below do not depend on the state, so each is
+# built once and shared read-only.
+
+
+@cache
 def _pair_rotation(angle_sign: int) -> np.ndarray:
     """Pair pre-rotation: x-rotation by +pi/2 * sign for Alice, the opposite for Bob."""
     def rx(theta: float) -> np.ndarray:
@@ -90,7 +101,7 @@ def _pair_rotation(angle_sign: int) -> np.ndarray:
         return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
     theta = angle_sign * np.pi / 2.0
-    return np.kron(rx(theta), rx(-theta))
+    return _read_only(np.kron(rx(theta), rx(-theta)))
 
 
 def _cnot_16(control: int, target: int) -> np.ndarray:
@@ -104,6 +115,14 @@ def _cnot_16(control: int, target: int) -> np.ndarray:
     return gate
 
 
+@cache
+def _step_gate(angle_sign: int) -> np.ndarray:
+    """Pre-rotations on both pairs followed by the two bilateral CNOTs."""
+    u = _pair_rotation(angle_sign)
+    return _read_only(_cnot_16(0, 2) @ _cnot_16(1, 3) @ np.kron(u, u))
+
+
+@cache
 def _measurement_projectors() -> tuple[np.ndarray, np.ndarray]:
     """Projectors onto equal/unequal computational outcomes of qubits 2_A, 2_B."""
     equal = np.zeros((4, 4), dtype=complex)
@@ -111,7 +130,7 @@ def _measurement_projectors() -> tuple[np.ndarray, np.ndarray]:
     for b in range(4):
         (equal if b in (0b00, 0b11) else unequal)[b, b] = 1.0
     eye4 = np.eye(4, dtype=complex)
-    return np.kron(eye4, equal), np.kron(eye4, unequal)
+    return _read_only(np.kron(eye4, equal)), _read_only(np.kron(eye4, unequal))
 
 
 def _trace_out_pair2(m16: np.ndarray) -> np.ndarray:
@@ -136,9 +155,7 @@ def dejmps_step_full(m: np.ndarray, angle_sign: int = 1) -> FullStepOutcome:
     admissible as long as :func:`verify_rotation_choice` passes for it.
     """
     validate_density_matrix(m)
-    u = _pair_rotation(angle_sign)
-    rot16 = np.kron(u, u)
-    gate = _cnot_16(0, 2) @ _cnot_16(1, 3) @ rot16
+    gate = _step_gate(angle_sign)
     rho = gate @ np.kron(m, m) @ gate.conj().T
 
     proj_equal, proj_unequal = _measurement_projectors()

@@ -47,6 +47,23 @@ class TestStateValidation:
         with pytest.raises(InvalidStateError):
             BellDiagonalState(0.5, 0.3, 0.1, 0.2)
 
+    @pytest.mark.parametrize("coeffs", [
+        (math.nan, 0.0, 0.0, 0.0),
+        (0.5, 0.5, math.nan, 0.0),
+        (1.0, 0.0, 0.0, math.nan),
+        (math.inf, 0.0, 0.0, 0.0),
+        (1.0, math.inf, 0.0, 0.0),
+        (1.0, -math.inf, 0.0, 0.0),
+        (math.inf, -math.inf, 1.0, 0.0),
+    ])
+    def test_rejects_nan_and_inf(self, coeffs):
+        with pytest.raises(InvalidStateError):
+            BellDiagonalState(*coeffs)
+
+    def test_werner_rejects_nan(self):
+        with pytest.raises(InvalidStateError):
+            werner(math.nan)
+
 
 class TestFidelityAndWerner:
     def test_pure_target(self):

@@ -242,6 +242,15 @@ PINNED = {
     "fig4_out_missing_dir": (
         ["fig4", "--n-stop", "4", "--out", "{missing}"], _EMPTY,
         "error: [Errno 2] No such file or directory: '{missing}'\n", 2),
+    "step_nan": (
+        ["step", "nan", "0", "0", "0"], _EMPTY,
+        "error: coefficients sum to nan; deviations above 1e-9 are rejected\n", 2),
+    "nmin_step_nan": (
+        ["nmin", "--step", "nan"], _EMPTY,
+        "error: grid requires finite start, stop and step\n", 2),
+    "fig3_step_inf": (
+        ["fig3", "--step", "inf"], _EMPTY,
+        "error: grid requires finite start, stop and step\n", 2),
     "fig4_zero_pairs": (
         ["fig4", "--n-start", "0", "--n-stop", "3"], _EMPTY,
         "error: pair count must be >= 1, got 0\n", 2),

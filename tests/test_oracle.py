@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from belldistil import BellDiagonalState, NotBellDiagonalError, distill_step, werner
+from belldistil import oracle
 from belldistil.oracle import (
     BELL_BASIS,
     ComparisonReport,
@@ -129,6 +130,38 @@ class TestFullStep:
             bell_coefficients(out.failure_m)
             total = out.p_success * out.success_m + (1 - out.p_success) * out.failure_m
             validate_density_matrix(total)
+
+
+class TestOracleConstants:
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_cached_constants_are_read_only_and_fresh(self, sign):
+        fresh_u = oracle._pair_rotation.__wrapped__(sign)
+        fresh_gate = (oracle._cnot_16(0, 2) @ oracle._cnot_16(1, 3)
+                      @ np.kron(fresh_u, fresh_u))
+        cached = [oracle._pair_rotation(sign), oracle._step_gate(sign),
+                  *oracle._measurement_projectors()]
+        fresh = [fresh_u, fresh_gate, *oracle._measurement_projectors.__wrapped__()]
+        for got, want in zip(cached, fresh):
+            assert got.flags.writeable is False
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            cached[1][0, 0] = 0.0
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_repeated_steps_give_the_same_bits(self, sign):
+        # the first call builds the constants, the second reuses them
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            m = embed(BellDiagonalState(*rng.dirichlet(np.ones(4))))
+            for built in (oracle._pair_rotation, oracle._step_gate,
+                          oracle._measurement_projectors):
+                built.cache_clear()
+            first, second = (dejmps_step_full(m, sign) for _ in range(2))
+            assert first.p_success == second.p_success
+            assert first.failure_reachable == second.failure_reachable
+            assert first.success_m.tobytes() == second.success_m.tobytes()
+            assert first.failure_m.tobytes() == second.failure_m.tobytes()
 
 
 class TestClosedFormComparison:
