@@ -36,7 +36,6 @@ from .iterative_scheme import (
     expected_fidelity_exact,
     expected_fidelity_mc,
     fully_successful_fidelity,
-    run_trajectory,
     sweep_over_fidelity,
     sweep_over_n,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "iterate_map",
     "n_min",
     "round_up_even",
-    "run_trajectory",
     "success_probability",
     "survivor_pmf",
     "sweep_over_fidelity",

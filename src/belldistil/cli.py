@@ -13,7 +13,8 @@ CSV cells are decimal floats with 12 significant digits; rows are ordered
 by the sweep variable and the file ends with a newline.  Exit codes:
 0 success, 1 verification failure, 2 usage error (also an unwritable
 ``--out`` path, or a NaN or infinite coefficient or grid bound), 3 resource
-cap.
+cap (an exact expectation above 4096 pairs, or a grid of more than 100,000
+points).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import replace
 from typing import Iterable
 
 from .bell_core import (
+    NORM_ATOL,
     BellDiagonalState,
     avg_fidelity_single_conditional,
     avg_fidelity_single_locc,
@@ -59,6 +61,9 @@ from .oracle import compare_with_closed_form, verify_rotation_choice
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
 
+#: Most points a ``--start``/``--stop``/``--step`` grid may have.
+_GRID_POINT_CAP = 100_000
+
 _POLICIES = {"backup": BACKUP, "nobackup": NO_BACKUP, "drop-even": DROP_ONE}
 
 
@@ -71,8 +76,13 @@ def _a_grid(start: float, stop: float, step: float) -> list[float]:
         raise ValueError("grid requires finite start, stop and step")
     if step <= 0 or start >= stop:
         raise ValueError("grid requires step > 0 and start < stop")
-    n = int(round((stop - start) / step))
-    return [round(start + i * step, 12) for i in range(n + 1)]
+    intervals = (stop - start) / step
+    if intervals + 1 > _GRID_POINT_CAP:
+        raise ResourceCapError(
+            f"grid capped at {_GRID_POINT_CAP} points; "
+            "use a larger step or a narrower range"
+        )
+    return [round(start + i * step, 12) for i in range(int(round(intervals)) + 1)]
 
 
 def _write_csv(path: str | None, header: list[str], rows: Iterable[list[str]]) -> None:
@@ -94,7 +104,7 @@ def _parse_state(values: list[float]) -> BellDiagonalState:
         raise InvalidStateError(
             f"coefficients sum to {total!r}; deviations above 1e-9 are rejected"
         )
-    if not dev <= 1e-12:
+    if not dev <= NORM_ATOL:
         print(
             f"warning: renormalizing input (sum deviates by {dev:.3g})",
             file=sys.stderr,

@@ -20,6 +20,10 @@ The per-run iteration rules, in dispatch order on the current live count n:
 5. n odd: one pair is set aside as backup at the current depth, replacing
    any older (shallower) backup; with backups disabled it is discarded.
 6. n/2 independent steps are performed; the survivors re-enter at rule 2.
+
+Each round at least halves the live count, so no run on N pairs goes deeper
+than ``depth_cap(N)`` = floor(log2 N), the rounds of the all-success run;
+every depth table stops there.
 """
 
 from __future__ import annotations
@@ -85,17 +89,18 @@ DROP_ONE = IterationPolicy(drop_one_when_even=True)
 
 
 def depth_cap(n: int) -> int:
-    """Upper bound on the number of rounds any trajectory on n pairs takes."""
-    return math.ceil(math.log2(max(n, 2))) + 1
+    """Rounds of the all-success run on n pairs, floor(log2 n); no
+    trajectory goes deeper."""
+    return n.bit_length() - 1
 
 
 def _depth_tables(s0: BellDiagonalState, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Fidelity and step success probability of the success-map iterates,
-    indexed by depth 0 .. depth_cap(n) + 1."""
+    indexed by depth 0 .. depth_cap(n)."""
     coeffs = s0.as_tuple()
     p = _success_weight(*coeffs)
     fid, psucc = [coeffs[0]], [p]
-    for _ in range(depth_cap(n) + 1):
+    for _ in range(depth_cap(n)):
         coeffs = _success_coeffs(*coeffs, p)
         p = _success_weight(*coeffs)
         fid.append(coeffs[0])
@@ -112,40 +117,11 @@ def _effective_n(n: int, policy: IterationPolicy) -> int:
 
 
 def fully_successful_fidelity(s0: BellDiagonalState, n: int) -> float:
-    """Reference curve: fidelity after the rounds of an all-success run,
-    i.e. n halving down to a single pair."""
+    """Reference curve: fidelity after the depth_cap(n) rounds of an
+    all-success run, n halving down to a single pair."""
     if n < 1:
         raise ValueError(f"pair count must be >= 1, got {n}")
-    k = 0
-    while n > 1:
-        n //= 2
-        k += 1
-    return iterate_map(s0, k).a
-
-
-def run_trajectory(
-    n: int,
-    s0: BellDiagonalState,
-    policy: IterationPolicy,
-    rng: np.random.Generator,
-) -> float:
-    """One random realization of the iteration; returns the output fidelity."""
-    n = _effective_n(n, policy)
-    fid, psucc = _depth_tables(s0, n)
-    out = np.empty(1)
-    failed = np.zeros(1, dtype=np.uint8)
-    _kernels.simulate(
-        rng.random((1, n)),
-        n,
-        psucc,
-        fid,
-        policy.backup_enabled,
-        policy.stop_at_two_without_backup,
-        policy.failure_fidelity,
-        out,
-        failed,
-    )
-    return float(out[0])
+    return iterate_map(s0, depth_cap(n)).a
 
 
 def _checked_n(n: int, policy: IterationPolicy) -> int:
@@ -175,7 +151,7 @@ def _exact_table(
     fid, psucc = _depth_tables(s0, n)
     loss = 1.0 - fid
     value = None
-    for depth in reversed(range(n.bit_length())):
+    for depth in reversed(range(depth_cap(n) + 1)):
         top = n >> depth
         deeper, value = value, np.empty((top + 1, depth + 1))
         value[0, 0] = 1.0 - policy.failure_fidelity

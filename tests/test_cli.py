@@ -2,7 +2,8 @@ import hashlib
 
 import pytest
 
-from belldistil.cli import main
+from belldistil import ResourceCapError
+from belldistil.cli import _a_grid, main
 
 
 def run(capsys, *argv):
@@ -140,6 +141,12 @@ class TestFigureSweeps:
         assert table[5][1] > table[6][1]
 
 
+def test_grid_point_cap_boundary():
+    assert len(_a_grid(0.0, 99_999.0, 1.0)) == 100_000
+    with pytest.raises(ResourceCapError):
+        _a_grid(0.0, 100_000.0, 1.0)
+
+
 class TestVerifyOracle:
     def test_passes(self, capsys):
         code, out, _ = run(capsys, "verify-oracle", "--samples", "100", "--seed", "4")
@@ -174,6 +181,9 @@ _EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 _CAP_ERROR = (
     "error: exact expectation capped at n = 4096; "
     "use expected_fidelity_mc for larger samples\n"
+)
+_GRID_CAP_ERROR = (
+    "error: grid capped at 100000 points; use a larger step or a narrower range\n"
 )
 
 #: (argv, SHA-256 of stdout or of the ``--out`` file, exact stderr, exit code).
@@ -251,6 +261,9 @@ PINNED = {
     "fig3_step_inf": (
         ["fig3", "--step", "inf"], _EMPTY,
         "error: grid requires finite start, stop and step\n", 2),
+    "nmin_step_subnormal": (
+        ["nmin", "--step", "5e-324"], _EMPTY, _GRID_CAP_ERROR, 3),
+    "fig3_step_tiny": (["fig3", "--step", "1e-7"], _EMPTY, _GRID_CAP_ERROR, 3),
     "fig4_zero_pairs": (
         ["fig4", "--n-start", "0", "--n-stop", "3"], _EMPTY,
         "error: pair count must be >= 1, got 0\n", 2),

@@ -56,6 +56,15 @@ class TestSurvivorPmf:
         approx = binomial_pmf(m, p)
         exact = [math.comb(m, j) * p**j * (1 - p) ** (m - j) for j in range(m + 1)]
         assert np.allclose(approx, exact, rtol=1e-10, atol=1e-300)
+        # Past m = 1029 the float form above overflows, so the lgamma branch
+        # is the only one left; check it against integer-exact weights.
+        m = 1100
+        with pytest.raises(OverflowError):
+            [math.comb(m, j) * p**j * (1 - p) ** (m - j) for j in range(m + 1)]
+        pn, den = p.as_integer_ratio()
+        qn, scale = den - pn, den**m
+        exact = [math.comb(m, j) * pn**j * qn ** (m - j) / scale for j in range(m + 1)]
+        assert np.allclose(binomial_pmf(m, p), exact, rtol=1e-10, atol=1e-300)
 
 
 class TestAvgFidelityOneRound:

@@ -38,7 +38,7 @@ STATES = (
 def public_tables(s0, n):
     """The depth tables rebuilt from the public maps, one step at a time."""
     states = [s0]
-    for _ in range(depth_cap(n) + 1):
+    for _ in range(depth_cap(n)):
         states.append(iterate_map(states[-1], 1))
     return (np.array([s.a for s in states]),
             np.array([success_probability(s) for s in states]))

@@ -19,7 +19,6 @@ from belldistil import (
     expected_fidelity_mc,
     fully_successful_fidelity,
     iterate_map,
-    run_trajectory,
     sweep_over_fidelity,
     sweep_over_n,
     werner,
@@ -37,40 +36,46 @@ E4 = 4303 / 5616
 E5 = 1063 / 1296
 
 
+def kernel_runs(n, trials, seed):
+    """Outputs and failure flags of ``trials`` runs of the active kernel on
+    ``n`` pairs of WERNER_075 under BACKUP, fed seeded Philox uniforms."""
+    fid, psucc = _depth_tables(WERNER_075, n)
+    u = np.random.Generator(np.random.Philox(key=seed)).random((trials, n))
+    out = np.empty(trials)
+    failed = np.zeros(trials, dtype=np.uint8)
+    simulate(u, n, psucc, fid, True, True, 0.5, out, failed)
+    return out, failed
+
+
 class TestRunTrajectory:
+    """Single runs, through the seeded Monte Carlo and the active kernel."""
+
     def test_single_pair_is_untouched(self):
-        rng = np.random.default_rng(0)
-        assert run_trajectory(1, WERNER_075, BACKUP, rng) == 0.75
+        stats = expected_fidelity_mc(1, WERNER_075, BACKUP, trials=50, seed=0)
+        assert stats == TrialStats(50, 0.75, 0.0, 0.0)
 
     def test_two_pairs_stop_immediately(self):
-        rng = np.random.default_rng(0)
-        assert all(
-            run_trajectory(2, WERNER_075, BACKUP, rng) == 0.75 for _ in range(50)
-        )
+        stats = expected_fidelity_mc(2, WERNER_075, BACKUP, trials=50, seed=0)
+        assert stats == TrialStats(50, 0.75, 0.0, 0.0)
 
     def test_three_pairs_two_outcomes(self):
-        rng = np.random.default_rng(1)
-        outcomes = {run_trajectory(3, WERNER_075, BACKUP, rng) for _ in range(500)}
-        assert sorted(outcomes) == pytest.approx([0.75, F1])
+        out, failed = kernel_runs(3, 500, seed=1)
+        assert set(out.tolist()) == {0.75, F1}
+        assert not failed.any()
 
     def test_three_pair_success_frequency(self):
-        rng = np.random.default_rng(2)
-        runs = 20_000
-        wins = sum(
-            run_trajectory(3, WERNER_075, BACKUP, rng) > 0.78 for _ in range(runs)
-        )
-        assert wins / runs == pytest.approx(13 / 18, abs=0.01)
+        out, failed = kernel_runs(3, 20_000, seed=2)
+        assert not failed.any()
+        assert np.mean(out == F1) == pytest.approx(13 / 18, abs=0.01)
 
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):
-            run_trajectory(0, WERNER_075, BACKUP, np.random.default_rng(0))
+            expected_fidelity_mc(0, WERNER_075, BACKUP, trials=50, seed=0)
 
     def test_output_bounds(self):
-        rng = np.random.default_rng(3)
         for n in (3, 5, 8, 13):
-            for _ in range(200):
-                f = run_trajectory(n, WERNER_075, BACKUP, rng)
-                assert 0.5 <= f <= 1.0
+            out, _ = kernel_runs(n, 200, seed=3)
+            assert ((0.5 <= out) & (out <= 1.0)).all(), n
 
 
 class TestExpectedFidelityExact:
@@ -148,6 +153,18 @@ class TestExpectedFidelityExact:
         for n in (2, 3, 5, 8, 13, 21, 32):
             _, deepest = enumerate_expectation(n, WERNER_075, BACKUP)
             assert deepest <= depth_cap(n)
+        # the bound is tight: without the stop at two, some run reaches it
+        relaxed = IterationPolicy(stop_at_two_without_backup=False)
+        for n in (1, 2, 3, 5, 8, 13, 21):
+            _, deepest = enumerate_expectation(n, WERNER_075, relaxed)
+            assert deepest == depth_cap(n), n
+
+    def test_depth_tables_end_at_the_all_success_run(self):
+        for n in range(1, 4097):
+            assert 2 ** depth_cap(n) <= n < 2 ** (depth_cap(n) + 1), n
+            fid, _ = _depth_tables(WERNER_075, n)
+            assert len(fid) == depth_cap(n) + 1, n
+            assert fid[-1] == fully_successful_fidelity(WERNER_075, n), n
 
     def test_alternative_stop_reading_shifts_the_break_even(self):
         # Keeping two backup-less pairs in play makes N=4 a gamble: the
