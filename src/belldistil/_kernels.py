@@ -19,4 +19,5 @@ except ImportError as exc:
     from . import _trajectory_py as _impl
 
 simulate = _impl.simulate
+simulate_philox = _impl.simulate_philox
 IMPL = _impl.IMPL

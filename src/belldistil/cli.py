@@ -12,7 +12,8 @@ Subcommands::
 CSV cells are decimal floats with 12 significant digits; rows are ordered
 by the sweep variable and the file ends with a newline.  Exit codes:
 0 success, 1 verification failure, 2 usage error (also an unwritable
-``--out`` path, or a NaN or infinite coefficient or grid bound), 3 resource
+``--out`` path, a NaN or infinite coefficient or grid bound, or a grid
+step below 1e-12, the resolution of the grid points), 3 resource
 cap (an exact expectation above 4096 pairs, or a grid of more than 100,000
 points).
 """
@@ -64,6 +65,10 @@ RESOURCE_ERROR = 3
 #: Most points a ``--start``/``--stop``/``--step`` grid may have.
 _GRID_POINT_CAP = 100_000
 
+#: Grid points are rounded to this many decimals, so a finer step would
+#: repeat them.
+_GRID_DECIMALS = 12
+
 _POLICIES = {"backup": BACKUP, "nobackup": NO_BACKUP, "drop-even": DROP_ONE}
 
 
@@ -82,7 +87,15 @@ def _a_grid(start: float, stop: float, step: float) -> list[float]:
             f"grid capped at {_GRID_POINT_CAP} points; "
             "use a larger step or a narrower range"
         )
-    return [round(start + i * step, 12) for i in range(int(round(intervals)) + 1)]
+    if step < 10.0**-_GRID_DECIMALS:
+        raise ValueError(
+            f"grid step must be at least 1e-{_GRID_DECIMALS}, "
+            "the resolution of the grid points"
+        )
+    return [
+        round(start + i * step, _GRID_DECIMALS)
+        for i in range(int(round(intervals)) + 1)
+    ]
 
 
 def _write_csv(path: str | None, header: list[str], rows: Iterable[list[str]]) -> None:

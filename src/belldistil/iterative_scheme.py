@@ -6,7 +6,8 @@ pair can be stored as a backup and used if everything later fails.  The
 expectation of the final fidelity is computed two ways: exactly, by
 backward induction over depth on a table over (live count, backup depth)
 that gives every starting count up to N at once, and by seeded Monte Carlo
-over individual trajectories.
+over individual trajectories, whose Philox uniforms the kernel computes
+from their stream indices as a trajectory reads them.
 
 The per-run iteration rules, in dispatch order on the current live count n:
 
@@ -46,10 +47,6 @@ from .errors import ResourceCapError
 
 #: Largest pair count accepted by the exact expectation.
 EXACT_N_CAP = 4096
-
-#: Uniforms Monte Carlo draws at once per worker (2 MiB): a block of trials
-#: holds at most this many doubles, or one trial's worth when n is larger.
-_MC_BLOCK_DOUBLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -194,29 +191,28 @@ def expected_fidelity_mc(
     """Monte Carlo estimate over ``trials`` independent trajectories.
 
     Trial t consumes doubles t*n .. t*n + n - 1 of a counter-based Philox
-    stream keyed by ``seed``, so results are bit-identical for a given
+    stream keyed by ``seed`` (numpy's ``Philox(key=seed)``, which also
+    validates the seed), so results are bit-identical for a given
     (seed, trials, n, s0, policy) regardless of worker count or execution
     order; aggregation is exact summation over the trial-ordered results.
-    Trials run in blocks of ``max(1, _MC_BLOCK_DOUBLES // n)``; each block
-    starts its own generator at its place in the stream (the counter
-    advances once per four doubles), so each worker holds the uniforms of
-    one block at a time.
+    The trials are split into ``workers`` contiguous chunks.  The compiled
+    kernel computes each uniform from its stream index when a trajectory
+    reads it, so no uniform buffer grows with n or the trial count; the
+    Python twin draws them in blocks of at most 2 MiB.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
     n = _effective_n(n, policy)
     fid, psucc = _depth_tables(s0, n)
+    k0, k1 = (int(w) for w in np.random.Philox(key=seed).state["state"]["key"])
     out = np.empty(trials)
     failed = np.zeros(trials, dtype=np.uint8)
-    block = max(1, _MC_BLOCK_DOUBLES // n)
 
-    def run_block(lo: int) -> None:
-        hi = min(lo + block, trials)
-        start, skip = divmod(lo * n, 4)
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=start))
-        rng.random(skip)
-        _kernels.simulate(
-            rng.random((hi - lo, n)),
+    def run_chunk(lo: int, hi: int) -> None:
+        _kernels.simulate_philox(
+            k0,
+            k1,
+            lo,
             n,
             psucc,
             fid,
@@ -227,13 +223,12 @@ def expected_fidelity_mc(
             failed[lo:hi],
         )
 
-    starts = range(0, trials, block)
     if workers <= 1:
-        for lo in starts:
-            run_block(lo)
+        run_chunk(0, trials)
     else:
+        bounds = [trials * i // workers for i in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_block, starts))
+            list(pool.map(run_chunk, bounds[:-1], bounds[1:]))
 
     mean = math.fsum(out) / trials
     std_error = float(np.std(out, ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0

@@ -147,6 +147,13 @@ def test_grid_point_cap_boundary():
         _a_grid(0.0, 100_000.0, 1.0)
 
 
+@pytest.mark.parametrize("a", [0.505, 0.6, 0.123456789])
+def test_grid_step_at_the_resolution_keeps_points_distinct(a):
+    # the finest step accepted still gives one distinct point per step
+    grid = _a_grid(a, a + 1e-10, 1e-12)
+    assert len(grid) == len(set(grid)) == 101
+
+
 class TestVerifyOracle:
     def test_passes(self, capsys):
         code, out, _ = run(capsys, "verify-oracle", "--samples", "100", "--seed", "4")
@@ -264,6 +271,19 @@ PINNED = {
     "nmin_step_subnormal": (
         ["nmin", "--step", "5e-324"], _EMPTY, _GRID_CAP_ERROR, 3),
     "fig3_step_tiny": (["fig3", "--step", "1e-7"], _EMPTY, _GRID_CAP_ERROR, 3),
+    "nmin_step_below_resolution": (
+        ["nmin", "--start", "0.6", "--stop", "0.60000000001", "--step", "1e-13"],
+        _EMPTY,
+        "error: grid step must be at least 1e-12, the resolution of the grid points\n",
+        2),
+    "iterate_mc_seed_negative": (
+        ["iterate", "--n", "5", "--a0", "0.75", "--method", "mc", "--trials", "10",
+         "--seed", "-1"], _EMPTY,
+        "error: key must be positive and less than 2**128.\n", 2),
+    "iterate_mc_seed_above_2_64": (
+        ["iterate", "--n", "13", "--a0", "0.7", "--method", "mc", "--trials", "3000",
+         "--seed", "18446744073709551621"],
+        "5103d96690428d300d3ada2e2404b82d08972f674d862e78df6bd6a7d0925f2f", "", 0),
     "fig4_zero_pairs": (
         ["fig4", "--n-start", "0", "--n-stop", "3"], _EMPTY,
         "error: pair count must be >= 1, got 0\n", 2),

@@ -24,8 +24,8 @@ from belldistil import (
     werner,
 )
 from belldistil import _trajectory_py
-from belldistil._kernels import IMPL, simulate
-from belldistil.iterative_scheme import _MC_BLOCK_DOUBLES, _depth_tables, depth_cap
+from belldistil._kernels import IMPL, simulate, simulate_philox
+from belldistil.iterative_scheme import _depth_tables, _effective_n, depth_cap
 
 from enumeration import enumerate_expectation
 
@@ -217,9 +217,8 @@ class TestExpectedFidelityMC:
 
     def test_pinned_trial_stats(self):
         # Captured from the implementation that drew the whole (trials, n)
-        # matrix at once.  Each case spans more than two blocks; for the
-        # effective n = 7, 9 and 8193 the block boundaries fall inside a
-        # four-double Philox output.
+        # matrix at once.  Between them the cases start trials at all four
+        # lanes of a four-double Philox output.
         relaxed = IterationPolicy(stop_at_two_without_backup=False)
         cases = {
             (7, 0.75, 3, BACKUP, 80_000):
@@ -235,8 +234,9 @@ class TestExpectedFidelityMC:
             (8193, 0.505, 2, NO_BACKUP, 100):
                 (0.5367726518942318, 0.0020775775881142896, 0.22),
         }
+        lanes = {_effective_n(n, policy) % 4 for n, _, _, policy, _ in cases}
+        assert lanes == {0, 1, 2, 3}
         for (n, a0, seed, policy, trials), pinned in cases.items():
-            assert trials > 2 * max(1, _MC_BLOCK_DOUBLES // n)
             for workers in (1, 4):
                 stats = expected_fidelity_mc(
                     n, werner(a0), policy, trials, seed, workers=workers
@@ -252,6 +252,46 @@ class TestExpectedFidelityMC:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_uniform_memory_is_bounded_at_any_n(self):
+        # one trial's row of uniforms alone would take 32 MiB
+        tracemalloc.start()
+        try:
+            expected_fidelity_mc(2**22, werner(0.55), BACKUP, 2, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_philox_stream_twins_are_bit_identical(self):
+        # trial t reads doubles t*n .. t*n + n - 1 of Philox(key=seed); the
+        # n cover every trial-start lane n % 4, the seeds both key words
+        seeds = (0, 3, 2**64 - 1, 2**64 + 5, 2**127 + 3)
+        for seed, n, first in itertools.product(
+            seeds, (1, 2, 3, 4, 5, 7, 12, 33, 512, 513), (0, 1, 7)
+        ):
+            k0, k1 = np.random.Philox(key=seed).state["state"]["key"]
+            fid, psucc = _depth_tables(WERNER_075, n)
+            trials = 64 if n < 100 else 16
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            u = rng.random((first + trials, n))[first:]
+            for backup_enabled, stop_at_two, failure_fidelity in itertools.product(
+                (True, False), (True, False), (0.5, 0.37)
+            ):
+                flags = (backup_enabled, stop_at_two, failure_fidelity)
+                results = []
+                for impl in (simulate_philox, _trajectory_py.simulate_philox, None):
+                    out = np.empty(trials)
+                    failed = np.zeros(trials, dtype=np.uint8)
+                    if impl is None:
+                        simulate(u, n, psucc, fid, *flags, out, failed)
+                    else:
+                        impl(k0, k1, first, n, psucc, fid, *flags, out, failed)
+                    results.append((out, failed))
+                case = (seed, n, first, *flags)
+                for out, failed in results[1:]:
+                    assert np.array_equal(out, results[0][0]), case
+                    assert np.array_equal(failed, results[0][1]), case
 
     def test_kernel_twins_are_bit_identical(self):
         for n in (1, 2, 3, 4, 7, 12, 33, 512):
@@ -304,6 +344,48 @@ class TestExpectedFidelityMC:
         _trajectory_c.simulate(u, n, psucc, fid, True, True, 0.5, out, failed)
         assert out_base[0] == out_base[-1] == -1.0
         assert failed_base[0] == failed_base[-1] == 7
+
+    def test_compiled_philox_kernel_rejects_bad_input(self):
+        from belldistil import _trajectory_c
+
+        n, trials = 7, 10
+        fid, psucc = _depth_tables(WERNER_075, n)
+        # out and failed are views between sentinels, so a stray write shows
+        out_base = np.full(trials + 2, -1.0)
+        failed_base = np.full(trials + 2, 7, dtype=np.uint8)
+        out, failed = out_base[1:-1], failed_base[1:-1]
+        read_only = np.empty(trials)
+        read_only.flags.writeable = False
+        # the largest first trial whose last double still has a 64-bit index
+        top = (2**64 - 1) // n - trials
+        bad = {
+            "tables shorter than the depth": (ValueError, dict(psucc=psucc[:2].copy())),
+            "out shorter than failed": (ValueError, dict(out=out[:-1])),
+            "failed shorter than out": (ValueError, dict(failed=failed[:-1])),
+            "read-only out": (ValueError, dict(out=read_only)),
+            "float64 failed": (ValueError, dict(failed=np.zeros(trials))),
+            "index beyond 64 bits": (ValueError, dict(first_trial=top + 1)),
+            "negative first trial": (ValueError, dict(first_trial=-1)),
+            "key word beyond 64 bits": (OverflowError, dict(k1=2**64)),
+        }
+        for name, (error, override) in bad.items():
+            args = dict(k0=5, k1=1, first_trial=0, n0=n, psucc=psucc, fid=fid,
+                        backup_enabled=True, stop_at_two=True,
+                        failure_fidelity=0.5, out=out, failed=failed)
+            args.update(override)
+            with pytest.raises(error):
+                _trajectory_c.simulate_philox(**args)
+            assert (out_base == -1.0).all() and (failed_base == 7).all(), name
+        # the top of the index range matches the numpy-drawn twin
+        _trajectory_c.simulate_philox(5, 1, top, n, psucc, fid, True, True, 0.5,
+                                      out, failed)
+        assert out_base[0] == out_base[-1] == -1.0
+        assert failed_base[0] == failed_base[-1] == 7
+        twin_out = np.empty(trials)
+        twin_failed = np.zeros(trials, dtype=np.uint8)
+        _trajectory_py.simulate_philox(5, 1, top, n, psucc, fid, True, True, 0.5,
+                                       twin_out, twin_failed)
+        assert np.array_equal(out, twin_out) and np.array_equal(failed, twin_failed)
 
     def test_compiled_kernel_is_active(self):
         # the build produces the extension; if this fails the fallback is
