@@ -1,23 +1,15 @@
-"""Kernel selection: the compiled trajectory loop, else the pure-Python twin.
+"""The compiled trajectory kernel.
 
-The compiled loop is ``_trajectory_c``, built from ``_trajectory_c.c`` by
-``setup.py``.  When it cannot be imported, ``_trajectory_py`` runs instead:
-same results, far slower.  That fallback issues a ``RuntimeWarning`` naming
-the missing module, and ``IMPL`` says which kernel is in use.
+``_trajectory_c`` is built from ``_trajectory_c.c`` by ``setup.py``; there
+is no fallback.  Without it, importing this module (and so ``belldistil``)
+raises an ``ImportError`` that names the module and the build command.
+``_trajectory_py`` holds the reference loop that tests compare against.
 """
 
-import warnings
-
 try:
-    from . import _trajectory_c as _impl
+    from ._trajectory_c import IMPL, simulate, simulate_philox
 except ImportError as exc:
-    warnings.warn(
-        "compiled trajectory kernel belldistil._trajectory_c is unavailable "
-        f"({exc}); using the pure-Python kernel",
-        RuntimeWarning,
-    )
-    from . import _trajectory_py as _impl
-
-simulate = _impl.simulate
-simulate_philox = _impl.simulate_philox
-IMPL = _impl.IMPL
+    raise ImportError(
+        f"compiled trajectory kernel belldistil._trajectory_c is unavailable "
+        f"({exc}); build it with `python setup.py build_ext --inplace`"
+    ) from exc

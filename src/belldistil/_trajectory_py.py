@@ -1,26 +1,17 @@
-"""Pure-Python trajectory kernel.
+"""Reference trajectory loop in pure Python.
 
-Reference implementation of the per-run iteration loop.  The compiled twin,
-the C extension ``_trajectory_c`` (source ``_trajectory_c.c``), implements
-byte-for-byte identical semantics.  ``simulate`` consumes a caller's
-uniforms; ``simulate_philox`` reads trial t's uniforms from doubles
-t*n0 .. t*n0 + n0 - 1 of a Philox stream, so results are independent of
-execution order and thread count.  Uniform consumption per trajectory is
+The definition of one run of the iterative scheme, kept as the reference
+that tests and the benchmark's twin check compare the compiled kernel
+``_trajectory_c`` (source ``_trajectory_c.c``) against; the package itself
+always runs the compiled kernel.  ``simulate`` consumes a caller's
+uniforms, one row per trajectory.  Uniform consumption per trajectory is
 bounded by the initial pair count (each round uses floor(n/2) variates and
-survivors at most halve).  Here the stream is drawn by numpy in blocks of
-at most ``_BLOCK_DOUBLES``; the compiled twin computes each double from its
-index when a trajectory reads it.
+survivors at most halve).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-IMPL = "python"
-
-#: Uniforms ``simulate_philox`` draws at once (2 MiB): a block of trials
-#: holds at most this many doubles, or one trial's worth when n0 is larger.
-_BLOCK_DOUBLES = 1 << 18
 
 
 def _one(
@@ -75,42 +66,3 @@ def simulate(
         out[t] = value
         failed[t] = fail
 
-
-def simulate_philox(
-    k0: int,
-    k1: int,
-    first_trial: int,
-    n0: int,
-    psucc: np.ndarray,
-    fid: np.ndarray,
-    backup_enabled: bool,
-    stop_at_two: bool,
-    failure_fidelity: float,
-    out: np.ndarray,
-    failed: np.ndarray,
-) -> None:
-    """Fill ``out``/``failed`` with trials ``first_trial``, ``first_trial +
-    1``, ...; trial t reads doubles ``t * n0`` onwards of the Philox stream
-    keyed by ``k0 + 2**64 * k1``.
-
-    Each block of trials starts its own generator at its place in the
-    stream (the counter advances once per four doubles).
-    """
-    key = int(k0) | int(k1) << 64
-    block = max(1, _BLOCK_DOUBLES // max(n0, 1))
-    for lo in range(0, out.shape[0], block):
-        hi = min(lo + block, out.shape[0])
-        start, skip = divmod((first_trial + lo) * n0, 4)
-        rng = np.random.Generator(np.random.Philox(key=key, counter=start))
-        rng.random(skip)
-        simulate(
-            rng.random((hi - lo, n0)),
-            n0,
-            psucc,
-            fid,
-            backup_enabled,
-            stop_at_two,
-            failure_fidelity,
-            out[lo:hi],
-            failed[lo:hi],
-        )

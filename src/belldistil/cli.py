@@ -10,10 +10,12 @@ Subcommands::
     verify-oracle  closed-form maps vs the density-matrix simulation
 
 CSV cells are decimal floats with 12 significant digits; rows are ordered
-by the sweep variable and the file ends with a newline.  Exit codes:
-0 success, 1 verification failure, 2 usage error (also an unwritable
-``--out`` path, a NaN or infinite coefficient or grid bound, or a grid
-step below 1e-12, the resolution of the grid points), 3 resource
+by the sweep variable and the file ends with a newline.  A ``--start``/
+``--stop``/``--step`` grid holds the points start + i*step (rounded to 12
+decimals) that do not pass ``--stop``.  Exit codes: 0 success, 1
+verification failure, 2 usage error (also an unwritable ``--out`` path, a
+NaN or infinite coefficient or grid bound, a grid step below 1e-12, the
+resolution of the grid points, or an empty ``fig4`` range), 3 resource
 cap (an exact expectation above 4096 pairs, or a grid of more than 100,000
 points).
 """
@@ -81,8 +83,11 @@ def _a_grid(start: float, stop: float, step: float) -> list[float]:
         raise ValueError("grid requires finite start, stop and step")
     if step <= 0 or start >= stop:
         raise ValueError("grid requires step > 0 and start < stop")
-    intervals = (stop - start) / step
-    if intervals + 1 > _GRID_POINT_CAP:
+    # half the grid resolution of slack absorbs rounding in stop - start: a
+    # step that divides the range still reaches stop, and no point passes
+    # stop by more than the slack
+    intervals = (stop - start + 0.5 * 10.0**-_GRID_DECIMALS) / step
+    if intervals >= _GRID_POINT_CAP:  # floor(intervals) + 1 points
         raise ResourceCapError(
             f"grid capped at {_GRID_POINT_CAP} points; "
             "use a larger step or a narrower range"
@@ -94,7 +99,7 @@ def _a_grid(start: float, stop: float, step: float) -> list[float]:
         )
     return [
         round(start + i * step, _GRID_DECIMALS)
-        for i in range(int(round(intervals)) + 1)
+        for i in range(math.floor(intervals) + 1)
     ]
 
 
@@ -194,6 +199,10 @@ def cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def cmd_fig4(args: argparse.Namespace) -> int:
+    if args.n_start > args.n_stop:
+        raise ValueError(
+            f"empty pair range: --n-start {args.n_start} > --n-stop {args.n_stop}"
+        )
     s0 = werner(args.a0)
     n_range = range(args.n_start, args.n_stop + 1)
     rows = [

@@ -197,8 +197,7 @@ def expected_fidelity_mc(
     order; aggregation is exact summation over the trial-ordered results.
     The trials are split into ``workers`` contiguous chunks.  The compiled
     kernel computes each uniform from its stream index when a trajectory
-    reads it, so no uniform buffer grows with n or the trial count; the
-    Python twin draws them in blocks of at most 2 MiB.
+    reads it, so no uniform buffer grows with n or the trial count.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")

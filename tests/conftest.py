@@ -5,8 +5,10 @@ step, so ``setup.py build_ext --inplace`` runs once here, before any test
 module imports ``belldistil``.  It puts the extension next to the sources
 (``src/belldistil/*.so``, objects under ``build/``; both git-ignored) and is
 a no-op when nothing changed.  The build never raises: if it fails, the
-test that checks the active kernel fails, and the report header shows the
-build's last lines.  The header always names the kernel that was selected.
+package has no kernel to import, so every test module that imports
+``belldistil`` fails at collection with an ``ImportError`` naming the
+build command, and the report header shows the build's last lines.  The
+header always names the kernel, or why it could not be imported.
 """
 
 import subprocess

@@ -1,9 +1,11 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belldistil import ResourceCapError
-from belldistil.cli import _a_grid, main
+from belldistil.cli import _GRID_POINT_CAP, _a_grid, main
 
 
 def run(capsys, *argv):
@@ -147,6 +149,27 @@ def test_grid_point_cap_boundary():
         _a_grid(0.0, 100_000.0, 1.0)
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    bounds=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2, unique=True),
+    data=st.data(),
+)
+def test_grid_stays_within_stop(bounds, data):
+    start, stop = sorted(bounds)
+    # steps from the finest within the point cap to beyond the whole range
+    step = data.draw(st.floats(
+        max(1e-12, (stop - start) / (_GRID_POINT_CAP - 1)),
+        max(1e-12, 1.5 * (stop - start)),
+    ))
+    grid = _a_grid(start, stop, step)
+    assert grid[0] == round(start, 12)
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+    # the last position start + i*step, before rounding to 12 decimals, is
+    # within half the resolution of stop, and the next one is beyond it
+    last = start + (len(grid) - 1) * step
+    assert last <= stop + 5e-13 < start + len(grid) * step
+
+
 @pytest.mark.parametrize("a", [0.505, 0.6, 0.123456789])
 def test_grid_step_at_the_resolution_keeps_points_distinct(a):
     # the finest step accepted still gives one distinct point per step
@@ -287,6 +310,16 @@ PINNED = {
     "fig4_zero_pairs": (
         ["fig4", "--n-start", "0", "--n-stop", "3"], _EMPTY,
         "error: pair count must be >= 1, got 0\n", 2),
+    "fig4_empty_range": (
+        ["fig4", "--n-start", "10", "--n-stop", "5"], _EMPTY,
+        "error: empty pair range: --n-start 10 > --n-stop 5\n", 2),
+    # a step that does not divide the range stops short of --stop
+    "nmin_step_not_dividing": (
+        ["nmin", "--start", "0.5", "--stop", "0.6", "--step", "0.035"],
+        "6d25e2e5102b161f70147c075504953b910a8919b9d88ff2336bd3582ee5e0fd", "", 0),
+    "fig3_stop_at_one": (
+        ["fig3", "--start", "0.5", "--stop", "1.0", "--step", "0.3"],
+        "124ce3f1e79da3dbde8da644f4e6ada54e07b8b5b46044df1029aca4dfa7d687", "", 0),
 }
 
 

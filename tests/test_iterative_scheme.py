@@ -280,13 +280,13 @@ class TestExpectedFidelityMC:
             ):
                 flags = (backup_enabled, stop_at_two, failure_fidelity)
                 results = []
-                for impl in (simulate_philox, _trajectory_py.simulate_philox, None):
+                for impl in (simulate_philox, simulate, _trajectory_py.simulate):
                     out = np.empty(trials)
                     failed = np.zeros(trials, dtype=np.uint8)
-                    if impl is None:
-                        simulate(u, n, psucc, fid, *flags, out, failed)
-                    else:
+                    if impl is simulate_philox:
                         impl(k0, k1, first, n, psucc, fid, *flags, out, failed)
+                    else:
+                        impl(u, n, psucc, fid, *flags, out, failed)
                     results.append((out, failed))
                 case = (seed, n, first, *flags)
                 for out, failed in results[1:]:
@@ -376,45 +376,41 @@ class TestExpectedFidelityMC:
             with pytest.raises(error):
                 _trajectory_c.simulate_philox(**args)
             assert (out_base == -1.0).all() and (failed_base == 7).all(), name
-        # the top of the index range matches the numpy-drawn twin
+        # the top of the index range matches the reference loop on the same
+        # doubles drawn by numpy (the counter advances once per four doubles)
         _trajectory_c.simulate_philox(5, 1, top, n, psucc, fid, True, True, 0.5,
                                       out, failed)
         assert out_base[0] == out_base[-1] == -1.0
         assert failed_base[0] == failed_base[-1] == 7
-        twin_out = np.empty(trials)
-        twin_failed = np.zeros(trials, dtype=np.uint8)
-        _trajectory_py.simulate_philox(5, 1, top, n, psucc, fid, True, True, 0.5,
-                                       twin_out, twin_failed)
-        assert np.array_equal(out, twin_out) and np.array_equal(failed, twin_failed)
+        counter, skip = divmod(top * n, 4)
+        rng = np.random.Generator(np.random.Philox(key=5 | 1 << 64, counter=counter))
+        rng.random(skip)
+        ref_out = np.empty(trials)
+        ref_failed = np.zeros(trials, dtype=np.uint8)
+        _trajectory_py.simulate(rng.random((trials, n)), n, psucc, fid, True, True,
+                                0.5, ref_out, ref_failed)
+        assert np.array_equal(out, ref_out) and np.array_equal(failed, ref_failed)
 
     def test_compiled_kernel_is_active(self):
-        # the build produces the extension; if this fails the fallback is
-        # in use and the benchmark comparison is meaningless
         assert IMPL == "compiled"
 
-    def test_fallback_warns_and_names_the_module(self):
+    def test_missing_kernel_fails_at_import(self):
         # a fresh interpreter in which the compiled module cannot be imported
         code = (
-            "import sys, warnings\n"
+            "import sys\n"
             "sys.modules['belldistil._trajectory_c'] = None\n"
-            "with warnings.catch_warnings(record=True) as caught:\n"
-            "    warnings.simplefilter('always')\n"
-            "    from belldistil import _kernels\n"
-            "print(_kernels.IMPL)\n"
-            "for w in caught:\n"
-            "    print(w.category.__name__, w.message)\n"
+            "import belldistil\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src}, timeout=60,
         )
-        assert proc.returncode == 0, proc.stderr
-        impl, *warned = proc.stdout.splitlines()
-        assert impl == "python"
-        assert len(warned) == 1
-        assert warned[0].startswith("RuntimeWarning ")
-        assert "belldistil._trajectory_c" in warned[0]
+        assert proc.returncode != 0
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith("ImportError: ")
+        assert "belldistil._trajectory_c" in last
+        assert "build_ext --inplace" in last
 
 
 class TestSweeps:
