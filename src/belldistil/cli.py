@@ -16,8 +16,8 @@ decimals) that do not pass ``--stop``.  Exit codes: 0 success, 1
 verification failure, 2 usage error (also an unwritable ``--out`` path, a
 NaN or infinite coefficient or grid bound, a grid step below 1e-12, the
 resolution of the grid points, or an empty ``fig4`` range), 3 resource
-cap (an exact expectation above 4096 pairs, or a grid of more than 100,000
-points).
+cap (an exact expectation above 4096 pairs, a Monte Carlo run of more than
+10,000,000 trials, or a grid of more than 100,000 points).
 """
 
 from __future__ import annotations

@@ -48,6 +48,11 @@ from .errors import ResourceCapError
 #: Largest pair count accepted by the exact expectation.
 EXACT_N_CAP = 4096
 
+#: Largest trial count accepted by the Monte Carlo estimate; it keeps
+#: 17 bytes per trial (result, failure flag, spread temporary), so about
+#: 170 MB at the cap.
+MC_TRIALS_CAP = 10_000_000
+
 
 @dataclass(frozen=True)
 class IterationPolicy:
@@ -197,10 +202,17 @@ def expected_fidelity_mc(
     order; aggregation is exact summation over the trial-ordered results.
     The trials are split into ``workers`` contiguous chunks.  The compiled
     kernel computes each uniform from its stream index when a trajectory
-    reads it, so no uniform buffer grows with n or the trial count.
+    reads it, so no uniform buffer grows with n or the trial count; the
+    per-trial results do, so more than ``MC_TRIALS_CAP`` trials raise
+    :class:`ResourceCapError` before anything is allocated.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
+    if trials > MC_TRIALS_CAP:
+        raise ResourceCapError(
+            f"Monte Carlo capped at {MC_TRIALS_CAP} trials; "
+            "use fewer trials or average independent seeds"
+        )
     n = _effective_n(n, policy)
     fid, psucc = _depth_tables(s0, n)
     k0, k1 = (int(w) for w in np.random.Philox(key=seed).state["state"]["key"])

@@ -13,6 +13,7 @@ pair is Alice-major (A, B) with computational basis order 00, 01, 10, 11.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -28,6 +29,10 @@ BELL_OFFDIAG_ATOL = 1e-10
 IMAG_RESIDUE_ATOL = 1e-12
 UNREACHABLE_TRACE_ATOL = 1e-14
 
+#: Samples per numpy call in the randomized checks.  It bounds their memory
+#: at any sample count; the results do not depend on it.
+_ORACLE_STACK = 16
+
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 #: Bell vectors as rows, in the global coefficient order (Phi+, Psi-, Psi+, Phi-).
@@ -42,46 +47,80 @@ BELL_BASIS = np.array(
 )
 
 
+def _stacked(m: np.ndarray) -> np.ndarray:
+    """View a single matrix as a stack of one; a stack is returned as is."""
+    return m[np.newaxis] if m.ndim == 2 else m
+
+
+def _first(failed: np.ndarray) -> int | None:
+    """Index of the first sample flagged in ``failed``, or None."""
+    return int(np.argmax(failed)) if failed.any() else None
+
+
 def validate_density_matrix(m: np.ndarray) -> None:
-    """Check Hermiticity, unit trace and positive semidefiniteness."""
-    if m.shape not in {(4, 4), (16, 16)}:
+    """Check Hermiticity, unit trace and positive semidefiniteness.
+
+    ``m`` is one 4x4 or 16x16 matrix or a stack of them along a leading
+    axis.  Each check runs over the whole stack, in the order above, and
+    reports the first sample that fails it.
+    """
+    if m.ndim not in (2, 3) or m.shape[-2:] not in {(4, 4), (16, 16)}:
         raise ValueError(f"expected a 4x4 or 16x16 matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_ATOL:
+    ms = _stacked(m)
+    asymmetry = np.abs(ms - ms.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    if (asymmetry > HERMITIAN_ATOL).any():
         raise ValueError("matrix is not Hermitian")
-    if abs(np.trace(m) - 1.0) > TRACE_ATOL:
-        raise ValueError(f"trace is {np.trace(m)!r}, expected 1")
-    if np.linalg.eigvalsh(m).min() < -PSD_ATOL:
+    trace = np.trace(ms, axis1=1, axis2=2)
+    i = _first(abs(trace - 1.0) > TRACE_ATOL)
+    if i is not None:
+        raise ValueError(f"trace is {trace[i]!r}, expected 1")
+    if (np.linalg.eigvalsh(ms).min(axis=1) < -PSD_ATOL).any():
         raise ValueError("matrix is not positive semidefinite")
 
 
-def embed(s: BellDiagonalState) -> np.ndarray:
-    """Bell-diagonal 4x4 density matrix with the coefficients of ``s``."""
-    m = np.zeros((4, 4), dtype=complex)
-    for coeff, vec in zip(s.as_tuple(), BELL_BASIS):
-        m += coeff * np.outer(vec, vec.conj())
-    return m
+def embed(s: BellDiagonalState | Sequence[BellDiagonalState]) -> np.ndarray:
+    """Bell-diagonal 4x4 density matrix with the coefficients of ``s``.
+
+    A sequence of states gives the stack of their matrices.
+    """
+    single = isinstance(s, BellDiagonalState)
+    coeffs = np.array([x.as_tuple() for x in ([s] if single else s)])
+    m = np.zeros((len(coeffs), 4, 4), dtype=complex)
+    for coeff, vec in zip(coeffs.T, BELL_BASIS):
+        m += coeff[:, np.newaxis, np.newaxis] * np.outer(vec, vec.conj())
+    return m[0] if single else m
 
 
-def bell_coefficients(m: np.ndarray) -> BellDiagonalState:
+def bell_coefficients(
+    m: np.ndarray,
+) -> BellDiagonalState | list[BellDiagonalState]:
     """Inverse of :func:`embed`: read the four Bell-projector coefficients.
 
     Rejects matrices with Bell-basis off-diagonal elements above
-    ``BELL_OFFDIAG_ATOL`` or with non-negligible imaginary diagonal parts.
+    ``BELL_OFFDIAG_ATOL`` or with non-negligible imaginary diagonal parts;
+    in a stack, each check reports the first sample that fails it.  A
+    stack of matrices gives the list of their states.
     """
-    in_bell = BELL_BASIS.conj() @ m @ BELL_BASIS.T
-    off = in_bell - np.diag(np.diag(in_bell))
-    worst = np.unravel_index(np.argmax(np.abs(off)), off.shape)
-    if np.abs(off[worst]) > BELL_OFFDIAG_ATOL:
+    in_bell = BELL_BASIS.conj() @ _stacked(m) @ BELL_BASIS.T
+    diag = np.diagonal(in_bell, axis1=1, axis2=2)
+    off = in_bell.copy()
+    # x - x rather than 0: a NaN coefficient passes here and the state rejects it
+    off[:, range(4), range(4)] = diag - diag
+    i = _first(np.abs(off).max(axis=(1, 2)) > BELL_OFFDIAG_ATOL)
+    if i is not None:
+        worst = np.unravel_index(np.argmax(np.abs(off[i])), (4, 4))
         raise NotBellDiagonalError(
-            f"off-diagonal Bell element {off[worst]!r} at {worst} "
+            f"off-diagonal Bell element {off[i][worst]!r} at {worst} "
             f"exceeds {BELL_OFFDIAG_ATOL}"
         )
-    diag = np.diag(in_bell)
-    if np.max(np.abs(diag.imag)) > IMAG_RESIDUE_ATOL:
+    residue = np.abs(diag.imag).max(axis=1)
+    i = _first(residue > IMAG_RESIDUE_ATOL)
+    if i is not None:
         raise NotBellDiagonalError(
-            f"imaginary residue {np.max(np.abs(diag.imag))!r} in Bell coefficients"
+            f"imaginary residue {residue[i]!r} in Bell coefficients"
         )
-    return BellDiagonalState(*diag.real)
+    states = [BellDiagonalState(*row) for row in diag.real]
+    return states[0] if m.ndim == 2 else states
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -133,44 +172,54 @@ def _measurement_projectors() -> tuple[np.ndarray, np.ndarray]:
     return _read_only(np.kron(eye4, equal)), _read_only(np.kron(eye4, unequal))
 
 
-def _trace_out_pair2(m16: np.ndarray) -> np.ndarray:
-    """Partial trace over qubits 2_A, 2_B (the trailing 4-dim factor)."""
-    return m16.reshape(4, 4, 4, 4).trace(axis1=1, axis2=3)
-
-
 @dataclass(frozen=True)
 class FullStepOutcome:
-    """Density-matrix analogue of :class:`belldistil.bell_core.StepOutcome`."""
+    """Density-matrix analogue of :class:`belldistil.bell_core.StepOutcome`.
 
-    p_success: float
+    For a stack of inputs every field holds one entry per sample.
+    """
+
+    p_success: float | np.ndarray
     success_m: np.ndarray
     failure_m: np.ndarray
-    failure_reachable: bool = True
+    failure_reachable: bool | np.ndarray = True
+
+
+def _kron_with_itself(ms: np.ndarray) -> np.ndarray:
+    """``np.kron(m, m)`` for every matrix ``m`` of a stack."""
+    return (ms[:, :, None, :, None] * ms[:, None, :, None, :]).reshape(-1, 16, 16)
+
+
+def _branch(rho: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Weight, normalized pair-1 state and reachability of one outcome."""
+    conditioned = proj @ rho @ proj
+    weight = np.trace(conditioned, axis1=1, axis2=2).real
+    reachable = weight >= UNREACHABLE_TRACE_ATOL
+    # partial trace over qubits 2_A, 2_B (the trailing 4-dim factor)
+    reduced = conditioned.reshape(-1, 4, 4, 4, 4).trace(axis1=2, axis2=4)
+    reduced /= np.where(reachable, weight, 1.0)[:, None, None]
+    # an unreachable branch reports the LOCC floor (1/2, 1/2, 0, 0)
+    reduced[~reachable] = embed(BellDiagonalState(0.5, 0.5, 0.0, 0.0))
+    return weight, reduced, reachable
 
 
 def dejmps_step_full(m: np.ndarray, angle_sign: int = 1) -> FullStepOutcome:
     """One full protocol step on two copies of the 4x4 state ``m``.
 
-    ``angle_sign`` selects the rotation convention; either sign is
-    admissible as long as :func:`verify_rotation_choice` passes for it.
+    ``m`` may also be a ``(k, 4, 4)`` stack; each sample is stepped on its
+    own and the outcome holds arrays over the stack.  ``angle_sign``
+    selects the rotation convention; either sign is admissible as long as
+    :func:`verify_rotation_choice` passes for it.
     """
     validate_density_matrix(m)
+    ms = _stacked(m)
     gate = _step_gate(angle_sign)
-    rho = gate @ np.kron(m, m) @ gate.conj().T
-
-    proj_equal, proj_unequal = _measurement_projectors()
-    branches = []
-    for proj in (proj_equal, proj_unequal):
-        conditioned = proj @ rho @ proj
-        weight = np.trace(conditioned).real
-        reachable = weight >= UNREACHABLE_TRACE_ATOL
-        if reachable:
-            reduced = _trace_out_pair2(conditioned) / weight
-        else:
-            reduced = embed(BellDiagonalState(0.5, 0.5, 0.0, 0.0))
-        branches.append((weight, reduced, reachable))
-
-    (p, success_m, _), (_, failure_m, failure_ok) = branches
+    rho = gate @ _kron_with_itself(ms) @ gate.conj().T
+    (p, success_m, _), (_, failure_m, failure_ok) = (
+        _branch(rho, proj) for proj in _measurement_projectors()
+    )
+    if m.ndim == 2:
+        return FullStepOutcome(p[0], success_m[0], failure_m[0], failure_ok[0])
     return FullStepOutcome(p, success_m, failure_m, failure_ok)
 
 
@@ -185,9 +234,27 @@ class RotationReport:
 
 
 def apply_rotation_pair(m: np.ndarray, angle_sign: int = 1) -> np.ndarray:
-    """The step pre-rotation acting on a single 4x4 pair state."""
+    """The step pre-rotation acting on a 4x4 pair state or a stack of them."""
     u = _pair_rotation(angle_sign)
     return u @ m @ u.conj().T
+
+
+def _random_states(samples: int, seed: int):
+    """Stacks of random Bell-diagonal states, at most ``_ORACLE_STACK`` each.
+
+    numpy draws ``dirichlet(alpha, size=k)`` as k single draws in a row,
+    so the states do not depend on the stack size.
+    """
+    if samples < 1:
+        raise ValueError(f"sample count must be >= 1, got {samples}")
+    rng = np.random.default_rng(seed)
+    for lo in range(0, samples, _ORACLE_STACK):
+        draws = rng.dirichlet(np.ones(4), size=min(_ORACLE_STACK, samples - lo))
+        yield [BellDiagonalState(*row) for row in draws]
+
+
+def _max_abs_diff(x: tuple[float, ...], y: tuple[float, ...]) -> float:
+    return max(abs(u - v) for u, v in zip(x, y))
 
 
 def verify_rotation_choice(
@@ -199,17 +266,15 @@ def verify_rotation_choice(
     the resulting coefficients against (a, d, c, b).  Failures are
     reported, not raised.
     """
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
-        s = BellDiagonalState(*rng.dirichlet(np.ones(4)))
-        rotated = apply_rotation_pair(embed(s), angle_sign)
+    for states in _random_states(samples, seed):
+        rotated = apply_rotation_pair(embed(states), angle_sign)
         try:
             got = bell_coefficients(rotated)
         except NotBellDiagonalError:
             return RotationReport(False, np.inf, angle_sign, samples)
-        expect = (s.a, s.d, s.c, s.b)
-        worst = max(worst, max(abs(g - e) for g, e in zip(got.as_tuple(), expect)))
+        for s, g in zip(states, got):
+            worst = max(worst, _max_abs_diff(g.as_tuple(), (s.a, s.d, s.c, s.b)))
     return RotationReport(worst < 1e-12, worst, angle_sign, samples)
 
 
@@ -239,40 +304,29 @@ def compare_with_closed_form(
 
     ``step_fn`` defaults to :func:`belldistil.bell_core.distill_step`; it is
     injectable so a deliberately corrupted map can serve as a negative
-    control.
+    control.  The oracle steps ``_ORACLE_STACK`` states per call; the
+    closed form is called once per state.
     """
     from .bell_core import distill_step
 
-    if samples < 1:
-        raise ValueError(f"sample count must be >= 1, got {samples}")
     if step_fn is None:
         step_fn = distill_step
-    rng = np.random.default_rng(seed)
     dev_p = dev_s = dev_f = 0.0
     worst_state = (1.0, 0.0, 0.0, 0.0)
-    for _ in range(samples):
-        s = BellDiagonalState(*rng.dirichlet(np.ones(4)))
-        closed = step_fn(s)
-        full = dejmps_step_full(embed(s))
-        dp = abs(full.p_success - closed.p_success)
-        ds = max(
-            abs(x - y)
-            for x, y in zip(
-                bell_coefficients(full.success_m).as_tuple(),
-                closed.success_state.as_tuple(),
-            )
-        )
-        if full.failure_reachable and closed.failure_reachable:
-            df = max(
-                abs(x - y)
-                for x, y in zip(
-                    bell_coefficients(full.failure_m).as_tuple(),
-                    closed.failure_state.as_tuple(),
-                )
-            )
-        else:
-            df = 0.0 if full.failure_reachable == closed.failure_reachable else np.inf
-        if max(dp, ds, df) > max(dev_p, dev_s, dev_f):
-            worst_state = s.as_tuple()
-        dev_p, dev_s, dev_f = max(dev_p, dp), max(dev_s, ds), max(dev_f, df)
+    for states in _random_states(samples, seed):
+        closed = [step_fn(s) for s in states]
+        full = dejmps_step_full(embed(states))
+        success = bell_coefficients(full.success_m)
+        both = full.failure_reachable & np.array([c.failure_reachable for c in closed])
+        failure = iter(bell_coefficients(full.failure_m[both]))
+        for i, (s, c) in enumerate(zip(states, closed)):
+            dp = abs(full.p_success[i] - c.p_success)
+            ds = _max_abs_diff(success[i].as_tuple(), c.success_state.as_tuple())
+            if both[i]:
+                df = _max_abs_diff(next(failure).as_tuple(), c.failure_state.as_tuple())
+            else:
+                df = 0.0 if full.failure_reachable[i] == c.failure_reachable else np.inf
+            if max(dp, ds, df) > max(dev_p, dev_s, dev_f):
+                worst_state = s.as_tuple()
+            dev_p, dev_s, dev_f = max(dev_p, dp), max(dev_s, ds), max(dev_f, df)
     return ComparisonReport(samples, dev_p, dev_s, dev_f, worst_state)

@@ -258,6 +258,11 @@ PINNED = {
          "--fu", "conditional", "--method", "mc", "--trials", "2000", "--seed", "3"],
         "4aae319a049f19618221edc891af4b320f630d3a7049e5f58d05e63a3e01314f", "", 0),
     "iterate_cap": (["iterate", "--n", "5000", "--a0", "0.75"], _EMPTY, _CAP_ERROR, 3),
+    "iterate_mc_trial_cap": (
+        ["iterate", "--n", "5", "--a0", "0.75", "--method", "mc", "--trials",
+         "10000000000000"], _EMPTY,
+        "error: Monte Carlo capped at 10000000 trials; "
+        "use fewer trials or average independent seeds\n", 3),
     "fig3_drop_even": (
         ["fig3", "--policy", "drop-even", "--n-list", "3,8", "--start", "0.6",
          "--stop", "0.8", "--step", "0.1"],

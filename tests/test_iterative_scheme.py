@@ -25,7 +25,12 @@ from belldistil import (
 )
 from belldistil import _trajectory_py
 from belldistil._kernels import IMPL, simulate, simulate_philox
-from belldistil.iterative_scheme import _depth_tables, _effective_n, depth_cap
+from belldistil.iterative_scheme import (
+    MC_TRIALS_CAP,
+    _depth_tables,
+    _effective_n,
+    depth_cap,
+)
 
 from enumeration import enumerate_expectation
 
@@ -195,6 +200,19 @@ class TestExpectedFidelityMC:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             expected_fidelity_mc(5, WERNER_075, BACKUP, trials=0, seed=0)
+
+    def test_trial_cap_raises_before_allocating(self):
+        # the per-trial results alone would take 17 bytes per trial
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match="10000000 trials"):
+                expected_fidelity_mc(5, WERNER_075, BACKUP, trials=10**13, seed=0)
+            with pytest.raises(ResourceCapError):
+                expected_fidelity_mc(5, WERNER_075, BACKUP, MC_TRIALS_CAP + 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_agrees_with_exact(self):
         stats = expected_fidelity_mc(5, WERNER_075, BACKUP, trials=100_000, seed=42)

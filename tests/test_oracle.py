@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,142 @@ from belldistil.oracle import (
 )
 
 WERNER_075 = werner(0.75)
+
+
+# float.hex() of every ComparisonReport field, taken from the per-sample
+# oracle before it ran on stacks: (max_p, max_success, max_failure, worst_state).
+COMPARISON_PINS = {
+    (1, 0): (
+        '0x1.4000000000000p-51', '0x1.0000000000000p-53', '0x1.8000000000000p-53',
+        ('0x1.946b569756074p-2', '0x1.2f399b2d59a0cp-1',
+         '0x1.78fcf8d5b528ap-7', '0x1.598b47490df4dp-10'),
+    ),
+    (15, 0): (
+        '0x1.4000000000000p-51', '0x1.4000000000000p-53', '0x1.8000000000000p-53',
+        ('0x1.946b569756074p-2', '0x1.2f399b2d59a0cp-1',
+         '0x1.78fcf8d5b528ap-7', '0x1.598b47490df4dp-10'),
+    ),
+    (16, 0): (
+        '0x1.4000000000000p-51', '0x1.4000000000000p-53', '0x1.8000000000000p-53',
+        ('0x1.946b569756074p-2', '0x1.2f399b2d59a0cp-1',
+         '0x1.78fcf8d5b528ap-7', '0x1.598b47490df4dp-10'),
+    ),
+    (17, 0): (
+        '0x1.4000000000000p-51', '0x1.4000000000000p-53', '0x1.8000000000000p-53',
+        ('0x1.946b569756074p-2', '0x1.2f399b2d59a0cp-1',
+         '0x1.78fcf8d5b528ap-7', '0x1.598b47490df4dp-10'),
+    ),
+    (33, 0): (
+        '0x1.4000000000000p-51', '0x1.4000000000000p-53', '0x1.8000000000000p-53',
+        ('0x1.946b569756074p-2', '0x1.2f399b2d59a0cp-1',
+         '0x1.78fcf8d5b528ap-7', '0x1.598b47490df4dp-10'),
+    ),
+    (400, 0): (
+        '0x1.8000000000000p-51', '0x1.0000000000000p-52', '0x1.8000000000000p-52',
+        ('0x1.0318fa56acd54p-3', '0x1.a03a173c0b6ecp-6',
+         '0x1.b985ed841d0c6p-3', '0x1.43d6754f6d2c2p-1'),
+    ),
+    (1000, 0): (
+        '0x1.8000000000000p-51', '0x1.0000000000000p-52', '0x1.0000000000000p-50',
+        ('0x1.d7aaaf8c102cep-8', '0x1.d5ccdc34c0f79p-7',
+         '0x1.02d00a0b44a44p-3', '0x1.b44574ad43b2cp-1'),
+    ),
+    (1, 5): (
+        '0x1.8000000000000p-52', '0x1.0000000000000p-53', '0x1.0000000000000p-54',
+        ('0x1.bd6202f87e4b4p-2', '0x1.505d412e5b1afp-3',
+         '0x1.23beae03a4723p-2', '0x1.dac2b9b2bed45p-4'),
+    ),
+    (15, 5): (
+        '0x1.8000000000000p-52', '0x1.0000000000000p-53', '0x1.0000000000000p-53',
+        ('0x1.bd6202f87e4b4p-2', '0x1.505d412e5b1afp-3',
+         '0x1.23beae03a4723p-2', '0x1.dac2b9b2bed45p-4'),
+    ),
+    (16, 5): (
+        '0x1.8000000000000p-52', '0x1.0000000000000p-53', '0x1.0000000000000p-53',
+        ('0x1.bd6202f87e4b4p-2', '0x1.505d412e5b1afp-3',
+         '0x1.23beae03a4723p-2', '0x1.dac2b9b2bed45p-4'),
+    ),
+    (17, 5): (
+        '0x1.8000000000000p-52', '0x1.0000000000000p-53', '0x1.0000000000000p-53',
+        ('0x1.bd6202f87e4b4p-2', '0x1.505d412e5b1afp-3',
+         '0x1.23beae03a4723p-2', '0x1.dac2b9b2bed45p-4'),
+    ),
+    (33, 5): (
+        '0x1.0000000000000p-51', '0x1.0000000000000p-52', '0x1.2000000000000p-51',
+        ('0x1.2a3cd6cf25ac0p-2', '0x1.658ddc57047f2p-1',
+         '0x1.36ac424df8eb6p-7', '0x1.e41ce0c31cd50p-11'),
+    ),
+    (400, 5): (
+        '0x1.8000000000000p-51', '0x1.0000000000000p-52', '0x1.2000000000000p-51',
+        ('0x1.663484741ef3dp-7', '0x1.934e2e12e07efp-9',
+         '0x1.8335256a7b145p-1', '0x1.d67ae956863d8p-3'),
+    ),
+    (1000, 5): (
+        '0x1.8000000000000p-51', '0x1.8000000000000p-52', '0x1.2000000000000p-51',
+        ('0x1.663484741ef3dp-7', '0x1.934e2e12e07efp-9',
+         '0x1.8335256a7b145p-1', '0x1.d67ae956863d8p-3'),
+    ),
+    (1, 58): (
+        '0x1.0000000000000p-52', '0x1.8000000000000p-54', '0x1.0000000000000p-55',
+        ('0x1.dfffe4e0d5102p-3', '0x1.035cc590e72b7p-2',
+         '0x1.57e67385c2f6ap-2', '0x1.6979a8f1d6abep-3'),
+    ),
+    (15, 58): (
+        '0x1.0000000000000p-51', '0x1.0000000000000p-52', '0x1.0000000000000p-53',
+        ('0x1.24331104dd550p-1', '0x1.a6189dcdd88c9p-5',
+         '0x1.4e4fbacffca49p-4', '0x1.2f42db888b1b4p-2'),
+    ),
+    (16, 58): (
+        '0x1.0000000000000p-51', '0x1.0000000000000p-52', '0x1.0000000000000p-53',
+        ('0x1.24331104dd550p-1', '0x1.a6189dcdd88c9p-5',
+         '0x1.4e4fbacffca49p-4', '0x1.2f42db888b1b4p-2'),
+    ),
+    (17, 58): (
+        '0x1.0000000000000p-51', '0x1.0000000000000p-52', '0x1.0000000000000p-53',
+        ('0x1.24331104dd550p-1', '0x1.a6189dcdd88c9p-5',
+         '0x1.4e4fbacffca49p-4', '0x1.2f42db888b1b4p-2'),
+    ),
+    (33, 58): (
+        '0x1.8000000000000p-51', '0x1.0000000000000p-52', '0x1.0000000000000p-53',
+        ('0x1.b4b3a58a98525p-8', '0x1.25e8c37caa5f3p-5',
+         '0x1.c4ecd60fb88bdp-1', '0x1.2a59b36b3cecdp-4'),
+    ),
+    (400, 58): (
+        '0x1.8000000000000p-51', '0x1.4000000000000p-52', '0x1.e000000000000p-51',
+        ('0x1.a5bd40dc4caacp-6', '0x1.b917e659a634ep-10',
+         '0x1.c83604b32dea1p-1', '0x1.4dfc2a9616ec0p-4'),
+    ),
+    (1000, 58): (
+        '0x1.8000000000000p-51', '0x1.4000000000000p-52', '0x1.e000000000000p-51',
+        ('0x1.a5bd40dc4caacp-6', '0x1.b917e659a634ep-10',
+         '0x1.c83604b32dea1p-1', '0x1.4dfc2a9616ec0p-4'),
+    ),
+}
+
+# RotationReport.max_deviation.hex(); both angle signs gave the same bits.
+ROTATION_PINS = {
+    (1, 0): '0x1.2400000000000p-56',
+    (15, 0): '0x1.0000000000000p-53',
+    (16, 0): '0x1.0000000000000p-53',
+    (17, 0): '0x1.0000000000000p-53',
+    (33, 0): '0x1.0000000000000p-53',
+    (400, 0): '0x1.0000000000000p-52',
+    (1000, 0): '0x1.0000000000000p-52',
+    (1, 5): '0x1.0000000000000p-54',
+    (15, 5): '0x1.0000000000000p-53',
+    (16, 5): '0x1.0000000000000p-53',
+    (17, 5): '0x1.0000000000000p-53',
+    (33, 5): '0x1.0000000000000p-53',
+    (400, 5): '0x1.0000000000000p-52',
+    (1000, 5): '0x1.0000000000000p-52',
+    (1, 58): '0x1.0000000000000p-53',
+    (15, 58): '0x1.0000000000000p-53',
+    (16, 58): '0x1.0000000000000p-53',
+    (17, 58): '0x1.0000000000000p-53',
+    (33, 58): '0x1.0000000000000p-53',
+    (400, 58): '0x1.0000000000000p-52',
+    (1000, 58): '0x1.0000000000000p-52',
+}
 
 
 class TestBellBasis:
@@ -97,6 +236,11 @@ class TestRotationChoice:
     def test_both_angle_conventions_work(self):
         # the swap is its own inverse, so the mirrored convention passes too
         assert verify_rotation_choice(samples=100, seed=3, angle_sign=-1).passed
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_rejects_no_samples(self, samples):
+        with pytest.raises(ValueError, match=f"must be >= 1, got {samples}"):
+            verify_rotation_choice(samples=samples)
 
 
 class TestFullStep:
@@ -180,3 +324,82 @@ class TestClosedFormComparison:
         report = compare_with_closed_form(samples=20, seed=6, step_fn=corrupted)
         assert isinstance(report, ComparisonReport)
         assert report.max_deviation > 1e-3
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("samples, seed", sorted(COMPARISON_PINS))
+    def test_comparison_report(self, samples, seed):
+        report = compare_with_closed_form(samples, seed)
+        got = (report.max_p_deviation.hex(), report.max_success_deviation.hex(),
+               report.max_failure_deviation.hex(),
+               tuple(float(x).hex() for x in report.worst_state))
+        assert report.samples == samples
+        assert got == COMPARISON_PINS[samples, seed]
+
+    @pytest.mark.parametrize("samples, seed", sorted(ROTATION_PINS))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rotation_report(self, samples, seed, sign):
+        report = verify_rotation_choice(samples, seed, sign)
+        assert report.passed and report.samples == samples
+        assert float(report.max_deviation).hex() == ROTATION_PINS[samples, seed]
+
+
+def _random_stack(seed: int, k: int = 16) -> list[BellDiagonalState]:
+    rng = np.random.default_rng(seed)
+    return [BellDiagonalState(*row) for row in rng.dirichlet(np.ones(4), size=k)]
+
+
+class TestStacks:
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_stack_equals_single_calls_bytewise(self, sign):
+        states = _random_stack(10)
+        states[3] = states[11] = BellDiagonalState(1, 0, 0, 0)  # failure unreachable
+        stack = embed(states)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = dejmps_step_full(stack, sign)
+        assert list(stacked.failure_reachable).count(False) == 2
+        for i, s in enumerate(states):
+            m = embed(s)
+            assert stack[i].tobytes() == m.tobytes()
+            single = dejmps_step_full(m, sign)
+            assert stacked.p_success[i].hex() == single.p_success.hex()
+            assert stacked.failure_reachable[i] == single.failure_reachable
+            assert stacked.success_m[i].tobytes() == single.success_m.tobytes()
+            assert stacked.failure_m[i].tobytes() == single.failure_m.tobytes()
+        for got, m in zip(bell_coefficients(stacked.success_m), stacked.success_m):
+            assert got == bell_coefficients(m)
+
+    def test_bad_trace_in_a_stack_raises_the_single_message(self):
+        stack = embed(_random_stack(11))
+        stack[5] *= 1.1
+        stack[9] *= 0.9
+        with pytest.raises(ValueError) as single:
+            validate_density_matrix(stack[5])
+        assert str(single.value).startswith("trace is ")
+        with pytest.raises(ValueError) as stacked:
+            dejmps_step_full(stack)
+        assert str(stacked.value) == str(single.value)
+
+    def test_non_bell_diagonal_in_a_stack_raises_the_single_message(self):
+        stack = embed(_random_stack(12))
+        stack[7, 0, 0] += 0.01
+        stack[7, 3, 3] -= 0.01
+        with pytest.raises(NotBellDiagonalError) as single:
+            bell_coefficients(stack[7])
+        with pytest.raises(NotBellDiagonalError) as stacked:
+            bell_coefficients(stack)
+        assert str(stacked.value) == str(single.value)
+
+    def test_memory_does_not_grow_with_samples(self):
+        compare_with_closed_form(20, 0)  # builds the cached gates
+        peaks = []
+        for samples in (400, 4000):
+            tracemalloc.start()
+            try:
+                compare_with_closed_form(samples, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2**20
+        assert peaks[1] < 1.5 * peaks[0]
