@@ -36,7 +36,6 @@ from .iterative_scheme import (
     expected_fidelity_exact,
     expected_fidelity_mc,
     fully_successful_fidelity,
-    sweep_over_fidelity,
     sweep_over_n,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "round_up_even",
     "success_probability",
     "survivor_pmf",
-    "sweep_over_fidelity",
     "sweep_over_n",
     "werner",
 ]

@@ -9,15 +9,17 @@ Subcommands::
     fig4           fidelity sweep over N at fixed A0, three curves (CSV)
     verify-oracle  closed-form maps vs the density-matrix simulation
 
-CSV cells are decimal floats with 12 significant digits; rows are ordered
-by the sweep variable and the file ends with a newline.  A ``--start``/
-``--stop``/``--step`` grid holds the points start + i*step (rounded to 12
-decimals) that do not pass ``--stop``.  Exit codes: 0 success, 1
-verification failure, 2 usage error (also an unwritable ``--out`` path, a
-NaN or infinite coefficient or grid bound, a grid step below 1e-12, the
-resolution of the grid points, or an empty ``fig4`` range), 3 resource
-cap (an exact expectation above 4096 pairs, a Monte Carlo run of more than
-10,000,000 trials, or a grid of more than 100,000 points).
+CSV cells are decimal floats with 12 significant digits, or empty where
+undefined (an ``nmin`` without a gain, the ``fig3`` ratio at A0 = 0); rows
+are ordered by the sweep variable and the file ends with a newline.  A
+``--start``/``--stop``/``--step`` grid holds the points start + i*step
+(rounded to 12 decimals) that do not pass ``--stop``.  Exit codes: 0
+success, 1 verification failure, 2 usage error (also an unwritable
+``--out`` path, a NaN or infinite coefficient or grid bound, a grid step
+below 1e-12, the resolution of the grid points, an empty ``fig4`` range, or
+a Monte Carlo stream index past 64 bits), 3 resource cap (an exact
+expectation above 4096 pairs, a Monte Carlo run of more than 10,000,000
+trials, or a grid of more than 100,000 points).
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .iterative_scheme import (
     expected_fidelity_exact,
     expected_fidelity_mc,
     fully_successful_fidelity,
-    sweep_over_fidelity,
     sweep_over_n,
 )
 from .oracle import compare_with_closed_form, verify_rotation_choice
@@ -188,12 +189,12 @@ def cmd_iterate(args: argparse.Namespace) -> int:
 
 
 def cmd_fig3(args: argparse.Namespace) -> int:
-    grid = _a_grid(args.start, args.stop, args.step)
-    columns = [sweep_over_fidelity(n, grid, _POLICIES[args.policy]) for n in args.n_list]
-    rows = [
-        [_fmt(a0)] + [_fmt(ratio) for _, _, ratio in cells]
-        for a0, *cells in zip(grid, *columns)
-    ]
+    policy = _POLICIES[args.policy]
+    rows = []
+    for a0 in _a_grid(args.start, args.stop, args.step):
+        cells = sweep_over_n(werner(a0), args.n_list, policy)
+        # the ratio is undefined at A0 = 0 (or -0.0): its cells stay empty
+        rows.append([_fmt(a0)] + [_fmt(f / a0) if a0 else "" for _, f, _ in cells])
     _write_csv(args.out, ["A0"] + [f"ratio_N{n}" for n in args.n_list], rows)
     return 0
 

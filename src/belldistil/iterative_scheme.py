@@ -7,7 +7,8 @@ expectation of the final fidelity is computed two ways: exactly, by
 backward induction over depth on a table over (live count, backup depth)
 that gives every starting count up to N at once, and by seeded Monte Carlo
 over individual trajectories, whose Philox uniforms the kernel computes
-from their stream indices as a trajectory reads them.
+from their stream indices as a trajectory reads them.  ``sweep_over_n``
+answers every exact query, from one table at the largest count per state.
 
 The per-run iteration rules, in dispatch order on the current live count n:
 
@@ -41,7 +42,6 @@ from .bell_core import (
     _success_coeffs,
     _success_weight,
     iterate_map,
-    werner,
 )
 from .errors import ResourceCapError
 
@@ -126,21 +126,11 @@ def fully_successful_fidelity(s0: BellDiagonalState, n: int) -> float:
     return iterate_map(s0, depth_cap(n)).a
 
 
-def _checked_n(n: int, policy: IterationPolicy) -> int:
-    n = _effective_n(n, policy)
-    if n > EXACT_N_CAP:
-        raise ResourceCapError(
-            f"exact expectation capped at n = {EXACT_N_CAP}; "
-            "use expected_fidelity_mc for larger samples"
-        )
-    return n
-
-
 def _exact_table(
-    s0: BellDiagonalState, n: int, policy: IterationPolicy
+    fid: np.ndarray, psucc: np.ndarray, n: int, policy: IterationPolicy
 ) -> np.ndarray:
     """Exact expectation for every starting count 0 .. n, by backward
-    induction over depth.
+    induction over depth on depth tables that reach at least depth_cap(n).
 
     ``value[live, slot]`` is one minus the expectation on entering a depth
     with ``live`` pairs; slot 0 means no backup and slot k + 1 a backup
@@ -150,7 +140,6 @@ def _exact_table(
     survivors is row 0 of ``(q + p * shift)**m`` applied to the deeper
     table.
     """
-    fid, psucc = _depth_tables(s0, n)
     loss = 1.0 - fid
     value = None
     for depth in reversed(range(depth_cap(n) + 1)):
@@ -181,8 +170,7 @@ def expected_fidelity_exact(
     n: int, s0: BellDiagonalState, policy: IterationPolicy
 ) -> float:
     """Exact expectation of the trajectory fidelity."""
-    n = _checked_n(n, policy)
-    return float(_exact_table(s0, n, policy)[n])
+    return sweep_over_n(s0, [n], policy)[0][1]
 
 
 def expected_fidelity_mc(
@@ -204,7 +192,8 @@ def expected_fidelity_mc(
     kernel computes each uniform from its stream index when a trajectory
     reads it, so no uniform buffer grows with n or the trial count; the
     per-trial results do, so more than ``MC_TRIALS_CAP`` trials raise
-    :class:`ResourceCapError` before anything is allocated.
+    :class:`ResourceCapError`, and a stream index past 64 bits ``ValueError``,
+    before anything is allocated.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
@@ -214,6 +203,10 @@ def expected_fidelity_mc(
             "use fewer trials or average independent seeds"
         )
     n = _effective_n(n, policy)
+    if n > 2**63 - 1 or trials * n > 2**64 - 1:
+        raise ValueError(
+            f"stream index trials * n = {trials} * {n} does not fit in 64 bits"
+        )
     fid, psucc = _depth_tables(s0, n)
     k0, k1 = (int(w) for w in np.random.Philox(key=seed).state["state"]["key"])
     out = np.empty(trials)
@@ -255,20 +248,20 @@ def sweep_over_n(
     s0: BellDiagonalState, n_range: range | list[int], policy: IterationPolicy
 ) -> list[tuple[int, float, float]]:
     """Exact expectation and all-success reference for each pair count,
-    all read from one table at the largest count."""
-    counts = [(n, _checked_n(n, policy)) for n in n_range]
+    checked in order (n >= 1, then the cap) and all read from one table at
+    the largest count."""
+    counts = []
+    for n in n_range:
+        m = _effective_n(n, policy)
+        if m > EXACT_N_CAP:
+            raise ResourceCapError(
+                f"exact expectation capped at n = {EXACT_N_CAP}; "
+                "use expected_fidelity_mc for larger samples"
+            )
+        counts.append((n, m))
     if not counts:
         return []
-    table = _exact_table(s0, max(m for _, m in counts), policy)
-    return [(n, float(table[m]), fully_successful_fidelity(s0, n)) for n, m in counts]
-
-
-def sweep_over_fidelity(
-    n: int, a_range: list[float], policy: IterationPolicy
-) -> list[tuple[float, float, float]]:
-    """Exact expectation over Werner inputs, with the ratio to the input fidelity."""
-    rows = []
-    for a0 in a_range:
-        f = expected_fidelity_exact(n, werner(a0), policy)
-        rows.append((a0, f, f / a0))
-    return rows
+    # dropping a pair can lower depth_cap, so the depth table follows the raw count
+    fid, psucc = _depth_tables(s0, max(n for n, _ in counts))
+    table = _exact_table(fid, psucc, max(m for _, m in counts), policy)
+    return [(n, float(table[m]), float(fid[depth_cap(n)])) for n, m in counts]

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from belldistil import ResourceCapError
-from belldistil.cli import _GRID_POINT_CAP, _a_grid, main
+from belldistil import ResourceCapError, expected_fidelity_exact, werner
+from belldistil.cli import _GRID_POINT_CAP, _POLICIES, _a_grid, _fmt, main
 
 
 def run(capsys, *argv):
@@ -127,6 +127,32 @@ class TestFigureSweeps:
         first = lines[1].split(",")
         assert first[0] == "0.7"
         assert all(float(x) > 1 for x in first[1:])
+
+    def test_fig3_cells_are_exact_ratios(self, capsys):
+        # every cell is the single-count expectation over A0, whatever the
+        # other counts read from the same table
+        for policy in sorted(_POLICIES):
+            for n_list in ("1,2", "3,8", "6,4,6", "128"):
+                code, out, _ = run(capsys, "fig3", "--policy", policy, "--n-list",
+                                   n_list, "--start", "0.55", "--stop", "0.95",
+                                   "--step", "0.2")
+                assert code == 0
+                lines = out.splitlines()
+                counts = [int(n) for n in n_list.split(",")]
+                assert lines[0] == "A0," + ",".join(f"ratio_N{n}" for n in counts)
+                rows = [line.split(",") for line in lines[1:]]
+                assert [row[0] for row in rows] == ["0.55", "0.75", "0.95"]
+                for a0, *cells in rows:
+                    a0 = float(a0)
+                    assert cells == [
+                        _fmt(expected_fidelity_exact(n, werner(a0), _POLICIES[policy])
+                             / a0)
+                        for n in counts
+                    ], (policy, n_list, a0)
+        # N=4 improves well above the break-even point
+        _, out, _ = run(capsys, "fig3", "--n-list", "1,4", "--start", "0.95",
+                        "--stop", "0.96", "--step", "0.1")
+        assert out.splitlines()[1].split(",")[1:] == ["1", "1.01371929825"]
 
     def test_fig4_structure(self, capsys):
         code, out, _ = run(capsys, "fig4", "--n-stop", "6")
@@ -322,6 +348,25 @@ PINNED = {
     "nmin_step_not_dividing": (
         ["nmin", "--start", "0.5", "--stop", "0.6", "--step", "0.035"],
         "6d25e2e5102b161f70147c075504953b910a8919b9d88ff2336bd3582ee5e0fd", "", 0),
+    # duplicate and unsorted counts, all read from one table per A0
+    "fig3_unsorted_duplicates": (
+        ["fig3", "--policy", "nobackup", "--n-list", "6,4,6,128", "--start", "0.55",
+         "--stop", "0.95", "--step", "0.1"],
+        "60af76ceda13591bd901bc7df953c87e91a833c3c7eeaf4054c32e5aa9b7cf72", "", 0),
+    # werner(0) is a valid state; only the ratio is undefined there
+    "fig3_a0_zero": (
+        ["fig3", "--n-list", "4,5", "--start", "0", "--stop", "0.1", "--step", "0.05"],
+        "bbaf56d614b81de14197403b114d349b1f3fcc7df3e7f2152e2adefb4afad403", "", 0),
+    "iterate_mc_n_past_signed_index": (
+        ["iterate", "--method", "mc", "--a0", "0.7", "--trials", "5", "--n",
+         "9223372036854775808"], _EMPTY,
+        "error: stream index trials * n = 5 * 9223372036854775808 "
+        "does not fit in 64 bits\n", 2),
+    "iterate_mc_stream_index_past_64_bits": (
+        ["iterate", "--method", "mc", "--a0", "0.7", "--trials", "5", "--n",
+         "4611686018427387904"], _EMPTY,
+        "error: stream index trials * n = 5 * 4611686018427387904 "
+        "does not fit in 64 bits\n", 2),
     "fig3_stop_at_one": (
         ["fig3", "--start", "0.5", "--stop", "1.0", "--step", "0.3"],
         "124ce3f1e79da3dbde8da644f4e6ada54e07b8b5b46044df1029aca4dfa7d687", "", 0),

@@ -19,12 +19,11 @@ from belldistil import (
     expected_fidelity_mc,
     fully_successful_fidelity,
     iterate_map,
-    sweep_over_fidelity,
     sweep_over_n,
     werner,
 )
 from belldistil import _trajectory_py
-from belldistil._kernels import IMPL, simulate, simulate_philox
+from belldistil._kernels import simulate, simulate_philox
 from belldistil.iterative_scheme import (
     MC_TRIALS_CAP,
     _depth_tables,
@@ -200,6 +199,25 @@ class TestExpectedFidelityMC:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             expected_fidelity_mc(5, WERNER_075, BACKUP, trials=0, seed=0)
+
+    def test_stream_index_past_64_bits_is_rejected_first(self, monkeypatch):
+        import belldistil.iterative_scheme as scheme
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        # any accepted count would go on to build its depth tables
+        monkeypatch.setattr(scheme, "_depth_tables", reached)
+        for n, trials in ((2**63, 1), (2**62, 5), (2**63 - 1, 3)):
+            with pytest.raises(ValueError, match="does not fit in 64 bits"):
+                expected_fidelity_mc(n, WERNER_075, BACKUP, trials, seed=0)
+        # the largest accepted indices; dropping a pair brings 2**63 in range
+        for n, policy in ((2**63 - 1, BACKUP), (2**63, DROP_ONE)):
+            with pytest.raises(Reached):
+                expected_fidelity_mc(n, WERNER_075, policy, trials=2, seed=0)
 
     def test_trial_cap_raises_before_allocating(self):
         # the per-trial results alone would take 17 bytes per trial
@@ -409,9 +427,6 @@ class TestExpectedFidelityMC:
                                 0.5, ref_out, ref_failed)
         assert np.array_equal(out, ref_out) and np.array_equal(failed, ref_failed)
 
-    def test_compiled_kernel_is_active(self):
-        assert IMPL == "compiled"
-
     def test_missing_kernel_fails_at_import(self):
         # a fresh interpreter in which the compiled module cannot be imported
         code = (
@@ -429,6 +444,13 @@ class TestExpectedFidelityMC:
         assert last.startswith("ImportError: ")
         assert "belldistil._trajectory_c" in last
         assert "build_ext --inplace" in last
+
+
+def test_every_public_name_resolves():
+    import belldistil
+
+    for name in belldistil.__all__:
+        assert getattr(belldistil, name, None) is not None, name
 
 
 class TestSweeps:
@@ -462,10 +484,3 @@ class TestSweeps:
         rows = sweep_over_n(WERNER_075, range(3, 21), BACKUP)
         for _, value, reference in rows:
             assert reference >= value - 1e-12
-
-    def test_sweep_over_fidelity_rows(self):
-        rows = sweep_over_fidelity(4, [0.55, 0.75, 0.95], BACKUP)
-        assert [r[0] for r in rows] == [0.55, 0.75, 0.95]
-        for a0, value, ratio in rows:
-            assert ratio == pytest.approx(value / a0, abs=1e-15)
-        assert rows[2][2] > 1  # N=4 improves well above the break-even point
