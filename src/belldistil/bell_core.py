@@ -7,11 +7,18 @@ either keeps pair 1 in a sharpened state (success) or in a degraded state
 (failure).  Everything here is exact algebra on the coefficient simplex;
 the density-matrix verification of these formulas lives in
 :mod:`belldistil.oracle`.
+
+The private maps below take the coefficients of one state as floats, or of
+many states as four equal-length arrays (a ``(4, k)`` coefficient stack,
+state i in column i).  Each formula is written once; every operation in it
+is elementwise, so a stack gives each state the bits of its own float call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidStateError
 
@@ -33,13 +40,45 @@ LOCC_FLOOR_COEFFS = (0.5, 0.5, 0.0, 0.0)
 _Coeffs = tuple[float, float, float, float]
 
 
-def _normalized(a: float, b: float, c: float, d: float) -> _Coeffs:
+def _select(cond, x, y):
+    """``x if cond else y``, elementwise when ``cond`` is an array."""
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
+
+
+def _square(x):
+    """``x ** 2`` as Python rounds it (C ``pow``), elementwise for arrays.
+
+    numpy's ``**`` squares by ``x * x``, which differs from ``pow`` in the
+    last bit for about one input in a thousand; ``np.float_power`` calls
+    ``pow``.
+    """
+    return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x**2
+
+
+def _raise_first(ok: np.ndarray, check, *values: np.ndarray) -> None:
+    """Raise what ``check`` raises on the floats of the first state of a
+    stack that fails ``ok``; the float call holds the one error message."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        check(*(float(x[i]) for x in values))
+
+
+def _normalized(a, b, c, d):
     """The one state check: clamp cancellation residue, check, renormalize.
 
     Every constructed state and every application of a step map passes
     through here exactly once (renormalizing is not idempotent in floating
-    point).  The comparisons are written so that NaN fails them.
+    point).  The comparisons are written so that NaN fails them.  A stack
+    takes the same steps elementwise, every state is checked, and the error
+    is the one of the first state that fails.
     """
+    if isinstance(a, np.ndarray):
+        valid = ((a >= CLAMP_FLOOR) & (b >= CLAMP_FLOOR) & (c >= CLAMP_FLOOR)
+                 & (d >= CLAMP_FLOOR))
+        ca, cb, cc, cd = (np.where(x < 0.0, 0.0, x) for x in (a, b, c, d))
+        total = ((ca + cb) + cc) + cd
+        _raise_first(valid & (abs(total - 1.0) <= NORM_ATOL), _normalized, a, b, c, d)
+        return (ca / total, cb / total, cc / total, cd / total)
     if not (a >= CLAMP_FLOOR and b >= CLAMP_FLOOR and c >= CLAMP_FLOOR
             and d >= CLAMP_FLOOR):
         coeffs = (a, b, c, d)
@@ -47,16 +86,14 @@ def _normalized(a: float, b: float, c: float, d: float) -> _Coeffs:
         kind = "NaN" if bad != bad else "negative"
         raise InvalidStateError(f"{kind} coefficient {bad!r} in {coeffs!r}")
     # the same as max(x, 0.0): residue becomes 0.0 and -0.0 stays -0.0
-    clamped = (
-        0.0 if a < 0.0 else a,
-        0.0 if b < 0.0 else b,
-        0.0 if c < 0.0 else c,
-        0.0 if d < 0.0 else d,
-    )
-    total = sum(clamped)
+    a = 0.0 if a < 0.0 else a
+    b = 0.0 if b < 0.0 else b
+    c = 0.0 if c < 0.0 else c
+    d = 0.0 if d < 0.0 else d
+    # the order of Python 3.11's sum(); later versions compensate
+    total = ((a + b) + c) + d
     if not abs(total - 1.0) <= NORM_ATOL:
         raise InvalidStateError(f"coefficients sum to {total!r}, expected 1")
-    a, b, c, d = clamped
     return (a / total, b / total, c / total, d / total)
 
 
@@ -107,10 +144,18 @@ def fidelity(s: BellDiagonalState) -> float:
 
 def werner(big_a: float) -> BellDiagonalState:
     """Werner state: the three non-target coefficients share (1 - A)/3 evenly."""
-    if not 0.0 <= big_a <= 1.0:
+    return _state(_werner_coeffs(big_a))
+
+
+def _werner_coeffs(big_a):
+    """Coefficients of :func:`werner`, or a stack of them for an array of A;
+    raises for the first A outside [0, 1]."""
+    if isinstance(big_a, np.ndarray):
+        _raise_first((0.0 <= big_a) & (big_a <= 1.0), _werner_coeffs, big_a)
+    elif not 0.0 <= big_a <= 1.0:
         raise InvalidStateError(f"Werner parameter {big_a!r} outside [0, 1]")
     rest = (1.0 - big_a) / 3.0
-    return BellDiagonalState(big_a, rest, rest, rest)
+    return _normalized(big_a, rest, rest, rest)
 
 
 def is_distillable(s: BellDiagonalState) -> bool:
@@ -123,16 +168,16 @@ def success_probability(s: BellDiagonalState) -> float:
     return _success_weight(*s.as_tuple())
 
 
-# The step maps on plain coefficient floats.  Their inputs are coefficients
-# of a valid state; each application validates its output once, through
-# _normalized.
+# The step maps on coefficient floats or stacks.  Their inputs are
+# coefficients of valid states; each application validates its output once,
+# through _normalized.
 
 
-def _success_weight(a: float, b: float, c: float, d: float) -> float:
-    return (a + b) ** 2 + (c + d) ** 2
+def _success_weight(a, b, c, d):
+    return _square(a + b) + _square(c + d)
 
 
-def _success_coeffs(a: float, b: float, c: float, d: float, p: float) -> _Coeffs:
+def _success_coeffs(a, b, c, d, p):
     """Post-state of a successful step, given its success weight ``p``."""
     return _normalized(
         (a * a + b * b) / p,
@@ -142,19 +187,22 @@ def _success_coeffs(a: float, b: float, c: float, d: float, p: float) -> _Coeffs
     )
 
 
-def _failure_coeffs(a: float, b: float, c: float, d: float) -> _Coeffs | None:
-    """Post-state of a failed step, or None when failure is unreachable."""
+def _failure_coeffs(a, b, c, d):
+    """Post-state of a failed step and whether failure is reachable; an
+    unreachable failure reports the LOCC floor."""
     # Since (a+b) + (c+d) = 1, the failure weight 1 - p equals
     # 2(a+b)(c+d) exactly; the product form stays accurate when p -> 1.
     q = 2.0 * (a + b) * (c + d)
-    if q < UNREACHABLE_ATOL:
-        return None
-    return _normalized(
-        (a * c + b * d) / q,
-        (a * d + b * c) / q,
-        (a * c + b * d) / q,
-        (a * d + b * c) / q,
+    reachable = q >= UNREACHABLE_ATOL
+    floor_a, floor_b, floor_c, floor_d = LOCC_FLOOR_COEFFS
+    q = _select(reachable, q, 1.0)
+    coeffs = _normalized(
+        _select(reachable, a * c + b * d, floor_a) / q,
+        _select(reachable, a * d + b * c, floor_b) / q,
+        _select(reachable, a * c + b * d, floor_c) / q,
+        _select(reachable, a * d + b * c, floor_d) / q,
     )
+    return coeffs, reachable
 
 
 def _state(coeffs: _Coeffs) -> BellDiagonalState:
@@ -174,10 +222,8 @@ def distill_step(s: BellDiagonalState) -> StepOutcome:
     coeffs = s.as_tuple()
     p = _success_weight(*coeffs)
     success = _state(_success_coeffs(*coeffs, p))
-    failure = _failure_coeffs(*coeffs)
-    if failure is None:
-        return StepOutcome(p, success, BellDiagonalState(*LOCC_FLOOR_COEFFS), False)
-    return StepOutcome(p, success, _state(failure))
+    failure, reachable = _failure_coeffs(*coeffs)
+    return StepOutcome(p, success, _state(failure), bool(reachable))
 
 
 def avg_fidelity_single_locc(s: BellDiagonalState) -> float:

@@ -19,32 +19,33 @@ success, 1 verification failure, 2 usage error (also an unwritable
 below 1e-12, the resolution of the grid points, an empty ``fig4`` range, or
 a Monte Carlo stream index past 64 bits), 3 resource cap (an exact
 expectation above 4096 pairs, a Monte Carlo run of more than 10,000,000
-trials, or a grid of more than 100,000 points).
+trials or of more than 8,000,000,000 trials * pairs, or a grid of more than
+100,000 points).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import math
 import sys
 from dataclasses import replace
 from typing import Iterable
 
+import numpy as np
+
 from .bell_core import (
     NORM_ATOL,
     BellDiagonalState,
+    _werner_coeffs,
     avg_fidelity_single_conditional,
     avg_fidelity_single_locc,
     distill_step,
     is_distillable,
     werner,
 )
-from .errors import (
-    FallbackAboveTargetError,
-    InvalidStateError,
-    NotDistillableError,
-    ResourceCapError,
-)
+from .errors import InvalidStateError, ResourceCapError
 from .finite_ensemble import (
     UnsuccessfulConvention,
     n_min,
@@ -55,6 +56,7 @@ from .iterative_scheme import (
     BACKUP,
     DROP_ONE,
     NO_BACKUP,
+    _exact_counts,
     expected_fidelity_exact,
     expected_fidelity_mc,
     fully_successful_fidelity,
@@ -104,9 +106,16 @@ def _a_grid(start: float, stop: float, step: float) -> list[float]:
     ]
 
 
+def _werner_stack(grid: list[float]) -> np.ndarray:
+    """The ``(4, k)`` coefficient stack of the Werner states of a grid."""
+    return np.array(_werner_coeffs(np.array(grid)))
+
+
 def _write_csv(path: str | None, header: list[str], rows: Iterable[list[str]]) -> None:
-    """Write the table to ``path``, or to stdout when no path is given."""
-    text = "".join(",".join(row) + "\n" for row in [header, *rows])
+    """Write the table to ``path``, or to stdout when no path is given.
+
+    ``rows`` is read once, so a generator never holds every row at once."""
+    text = "".join(",".join(row) + "\n" for row in itertools.chain([header], rows))
     if path is None:
         sys.stdout.write(text)
         return
@@ -148,18 +157,23 @@ def cmd_step(args: argparse.Namespace) -> int:
     return 0
 
 
+def _nmin_cells(value: float | None) -> list[str]:
+    """The value and its even round-up; empty where ``n_min`` has none (no
+    gain, or a fallback above the target)."""
+    return ["", ""] if value is None else [_fmt(value), str(round_up_even(value))]
+
+
 def cmd_nmin(args: argparse.Namespace) -> int:
-    rows = []
-    for a in _a_grid(args.start, args.stop, args.step):
-        cells = [_fmt(a)]
-        s = werner(a)
-        for conv in (UnsuccessfulConvention.LOCC_FLOOR, UnsuccessfulConvention.CONDITIONAL):
-            try:
-                value = n_min(s, conv)
-                cells += [_fmt(value), str(round_up_even(value))]
-            except (NotDistillableError, FallbackAboveTargetError):
-                cells += ["", ""]
-        rows.append(cells)
+    grid = _a_grid(args.start, args.stop, args.step)
+    stack = _werner_stack(grid)
+    columns = [
+        n_min(stack, conv)
+        for conv in (UnsuccessfulConvention.LOCC_FLOOR, UnsuccessfulConvention.CONDITIONAL)
+    ]
+    rows = (
+        [_fmt(a), *_nmin_cells(locc), *_nmin_cells(conditional)]
+        for a, locc, conditional in zip(grid, *columns)
+    )
     _write_csv(
         args.out,
         ["A", "nmin_locc", "nmin_locc_even", "nmin_conditional", "nmin_conditional_even"],
@@ -190,11 +204,17 @@ def cmd_iterate(args: argparse.Namespace) -> int:
 
 def cmd_fig3(args: argparse.Namespace) -> int:
     policy = _POLICIES[args.policy]
-    rows = []
-    for a0 in _a_grid(args.start, args.stop, args.step):
-        cells = sweep_over_n(werner(a0), args.n_list, policy)
+    grid = _a_grid(args.start, args.stop, args.step)
+    # errors come in the order of a loop over A0 that sweeps each state in
+    # turn: the first A0, then the counts, then the later A0s
+    werner(grid[0])
+    _exact_counts(args.n_list, policy)
+    cells = sweep_over_n(_werner_stack(grid), args.n_list, policy)
+    rows = [
         # the ratio is undefined at A0 = 0 (or -0.0): its cells stay empty
-        rows.append([_fmt(a0)] + [_fmt(f / a0) if a0 else "" for _, f, _ in cells])
+        [_fmt(a0)] + [_fmt(f / a0) if a0 else "" for f in values]
+        for a0, *values in zip(grid, *(column for _, column, _ in cells))
+    ]
     _write_csv(args.out, ["A0"] + [f"ratio_N{n}" for n in args.n_list], rows)
     return 0
 
@@ -292,8 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built once per process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ResourceCapError, ValueError, OSError) as exc:

@@ -11,6 +11,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bell_core import (
     BellDiagonalState,
     _failure_coeffs,
@@ -80,10 +82,13 @@ def survivor_pmf(n: int, s: BellDiagonalState) -> RoundStats:
 
 def unsuccessful_fidelity(s: BellDiagonalState, conv: UnsuccessfulConvention) -> float:
     """F_u under the chosen convention; the LOCC floor when failure is unreachable."""
+    return _fallback_fidelity(s.as_tuple(), conv)
+
+
+def _fallback_fidelity(coeffs, conv: UnsuccessfulConvention):
     if conv is UnsuccessfulConvention.LOCC_FLOOR:
         return 0.5
-    failure = _failure_coeffs(*s.as_tuple())
-    return 0.5 if failure is None else failure[0]
+    return _failure_coeffs(*coeffs)[0][0]
 
 
 def avg_fidelity_one_round(
@@ -98,27 +103,50 @@ def avg_fidelity_one_round(
     return p_all_fail * f_u + (1.0 - p_all_fail) * _success_coeffs(*coeffs, p)[0]
 
 
-def n_min(s: BellDiagonalState, conv: UnsuccessfulConvention) -> float:
+def _n_min_terms(coeffs, conv: UnsuccessfulConvention):
+    """Success fidelity, fallback fidelity F_u and failure weight 1 - p of
+    one step, for one state's coefficients or a coefficient stack."""
+    p = _success_weight(*coeffs)
+    return _success_coeffs(*coeffs, p)[0], _fallback_fidelity(coeffs, conv), 1.0 - p
+
+
+def _n_min(a: float, f_s: float, f_u: float, fail: float) -> float:
+    if a <= 0.5 or f_s <= a:
+        raise NotDistillableError(
+            f"fidelity {a!r} cannot be increased by a distillation step"
+        )
+    if f_u >= a:
+        raise FallbackAboveTargetError(
+            f"fallback fidelity {f_u!r} already >= target {a!r}"
+        )
+    return 2.0 * math.log((a - f_s) / (f_u - f_s)) / math.log(fail)
+
+
+def n_min(
+    s: BellDiagonalState | np.ndarray, conv: UnsuccessfulConvention
+) -> float | list[float | None]:
     """Continuous sample size at which one round exactly preserves fidelity.
 
     Returns the real-valued solution; use :func:`round_up_even` for a
     usable sample size.  Raises :class:`NotDistillableError` when the step
     cannot gain fidelity (a <= 1/2) and :class:`FallbackAboveTargetError`
     when F_u already meets the target fidelity.
+
+    For a ``(4, k)`` coefficient stack the maps run once over all k states
+    and the result is a list with one value per state, None where the call
+    on that state alone would raise one of those two errors.
     """
-    coeffs = s.as_tuple()
-    p = _success_weight(*coeffs)
-    f_s = _success_coeffs(*coeffs, p)[0]
-    if s.a <= 0.5 or f_s <= s.a:
-        raise NotDistillableError(
-            f"fidelity {s.a!r} cannot be increased by a distillation step"
-        )
-    f_u = unsuccessful_fidelity(s, conv)
-    if f_u >= s.a:
-        raise FallbackAboveTargetError(
-            f"fallback fidelity {f_u!r} already >= target {s.a!r}"
-        )
-    return 2.0 * math.log((s.a - f_s) / (f_u - f_s)) / math.log(1.0 - p)
+    if isinstance(s, BellDiagonalState):
+        return _n_min(s.a, *_n_min_terms(s.as_tuple(), conv))
+    terms = (s[0], *_n_min_terms(s, conv))
+    values = []
+    # math.log per state: np.log differs from it in the last bit of some inputs
+    for row in zip(*(np.broadcast_to(x, s[0].shape).tolist() for x in terms)):
+        try:
+            values.append(_n_min(*row))
+        except (NotDistillableError, FallbackAboveTargetError):
+            values.append(None)
+    return values
 
 
 def round_up_even(x: float) -> int:

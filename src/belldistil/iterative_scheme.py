@@ -8,7 +8,8 @@ backward induction over depth on a table over (live count, backup depth)
 that gives every starting count up to N at once, and by seeded Monte Carlo
 over individual trajectories, whose Philox uniforms the kernel computes
 from their stream indices as a trajectory reads them.  ``sweep_over_n``
-answers every exact query, from one table at the largest count per state.
+answers every exact query, from one table at the largest count, for one
+state or for a whole coefficient stack at once.
 
 The per-run iteration rules, in dispatch order on the current live count n:
 
@@ -31,7 +32,6 @@ every depth table stops there.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +52,17 @@ EXACT_N_CAP = 4096
 #: 17 bytes per trial (result, failure flag, spread temporary), so about
 #: 170 MB at the cap.
 MC_TRIALS_CAP = 10_000_000
+
+#: Largest trials * n accepted by the Monte Carlo estimate.  A trajectory on
+#: n pairs reads up to n uniforms, and the kernel gets through 1.3e8 to
+#: 1.9e8 of them per second on one core (x86-64, 2 CPUs), so a run at the
+#: cap ends in about a minute.
+MC_WORK_CAP = 8_000_000_000
+
+#: A coefficient stack is evaluated in chunks of states whose exact tables
+#: hold at most this many (state, starting count) entries, about 60 bytes
+#: each at the peak, so a sweep stays under 4 MB at any grid size.
+_STACK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -96,10 +107,13 @@ def depth_cap(n: int) -> int:
     return n.bit_length() - 1
 
 
-def _depth_tables(s0: BellDiagonalState, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _depth_tables(
+    s0: BellDiagonalState | np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Fidelity and step success probability of the success-map iterates,
-    indexed by depth 0 .. depth_cap(n)."""
-    coeffs = s0.as_tuple()
+    indexed by depth 0 .. depth_cap(n); a ``(4, k)`` coefficient stack
+    gives each table a trailing axis over its k states."""
+    coeffs = s0.as_tuple() if isinstance(s0, BellDiagonalState) else tuple(s0)
     p = _success_weight(*coeffs)
     fid, psucc = [coeffs[0]], [p]
     for _ in range(depth_cap(n)):
@@ -138,20 +152,22 @@ def _exact_table(
     the small infidelity instead of the fidelity keeps the rounding of the
     branch averages relative to it.  The average over Binomial(m, p)
     survivors is row 0 of ``(q + p * shift)**m`` applied to the deeper
-    table.
+    table.  Depth tables with a trailing state axis give the table that
+    axis too; every operation is elementwise along it.
     """
     loss = 1.0 - fid
+    states = loss.shape[1:]
     value = None
     for depth in reversed(range(depth_cap(n) + 1)):
         top = n >> depth
-        deeper, value = value, np.empty((top + 1, depth + 1))
+        deeper, value = value, np.empty((top + 1, depth + 1) + states)
         value[0, 0] = 1.0 - policy.failure_fidelity
         value[0, 1:] = loss[:depth]
         value[1] = loss[depth]
         if top >= 2:
             p = psucc[depth]
             # after[k - 1] averages the deeper table over the survivors of k steps
-            w, after = deeper, np.empty((top // 2, depth + 2))
+            w, after = deeper, np.empty((top // 2, depth + 2) + states)
             for row in after:
                 w = (1.0 - p) * w[:-1] + p * w[1:]
                 row[:] = w[0]
@@ -193,7 +209,9 @@ def expected_fidelity_mc(
     reads it, so no uniform buffer grows with n or the trial count; the
     per-trial results do, so more than ``MC_TRIALS_CAP`` trials raise
     :class:`ResourceCapError`, and a stream index past 64 bits ``ValueError``,
-    before anything is allocated.
+    before anything is allocated.  The work grows with trials * n, so
+    more than ``MC_WORK_CAP`` raises :class:`ResourceCapError` after the
+    depth tables (a few dozen entries) and before the results are allocated.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
@@ -208,6 +226,11 @@ def expected_fidelity_mc(
             f"stream index trials * n = {trials} * {n} does not fit in 64 bits"
         )
     fid, psucc = _depth_tables(s0, n)
+    if trials * n > MC_WORK_CAP:
+        raise ResourceCapError(
+            f"Monte Carlo capped at trials * n = {MC_WORK_CAP}; "
+            "use fewer trials or fewer pairs"
+        )
     k0, k1 = (int(w) for w in np.random.Philox(key=seed).state["state"]["key"])
     out = np.empty(trials)
     failed = np.zeros(trials, dtype=np.uint8)
@@ -230,6 +253,10 @@ def expected_fidelity_mc(
     if workers <= 1:
         run_chunk(0, trials)
     else:
+        # imported here: concurrent.futures brings in logging, about 1 MB of
+        # resident memory that a single-worker run does not need
+        from concurrent.futures import ThreadPoolExecutor
+
         bounds = [trials * i // workers for i in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_chunk, bounds[:-1], bounds[1:]))
@@ -244,12 +271,11 @@ def expected_fidelity_mc(
     )
 
 
-def sweep_over_n(
-    s0: BellDiagonalState, n_range: range | list[int], policy: IterationPolicy
-) -> list[tuple[int, float, float]]:
-    """Exact expectation and all-success reference for each pair count,
-    checked in order (n >= 1, then the cap) and all read from one table at
-    the largest count."""
+def _exact_counts(
+    n_range: range | list[int], policy: IterationPolicy
+) -> list[tuple[int, int]]:
+    """Each pair count with its effective count, checked in order (n >= 1,
+    then the cap)."""
     counts = []
     for n in n_range:
         m = _effective_n(n, policy)
@@ -259,9 +285,39 @@ def sweep_over_n(
                 "use expected_fidelity_mc for larger samples"
             )
         counts.append((n, m))
+    return counts
+
+
+def sweep_over_n(
+    s0: BellDiagonalState | np.ndarray,
+    n_range: range | list[int],
+    policy: IterationPolicy,
+) -> list[tuple[int, float | list[float], float | list[float]]]:
+    """Exact expectation and all-success reference for each pair count,
+    checked in order (n >= 1, then the cap) and all read from one table at
+    the largest count.
+
+    For a ``(4, k)`` coefficient stack the expectation and the reference
+    are lists over its k states, each equal to the call on that state
+    alone; the stack is evaluated in chunks of states that bound the
+    table's memory.
+    """
+    counts = _exact_counts(n_range, policy)
     if not counts:
         return []
-    # dropping a pair can lower depth_cap, so the depth table follows the raw count
-    fid, psucc = _depth_tables(s0, max(n for n, _ in counts))
-    table = _exact_table(fid, psucc, max(m for _, m in counts), policy)
-    return [(n, float(table[m]), float(fid[depth_cap(n)])) for n, m in counts]
+    top_n, top_m = max(n for n, _ in counts), max(m for _, m in counts)
+    if isinstance(s0, BellDiagonalState):
+        chunks = [s0]
+    else:
+        width = _STACK_ENTRIES // (top_m + 1)
+        # an empty stack is one empty chunk
+        chunks = [s0[:, i : i + width] for i in range(0, max(s0.shape[1], 1), width)]
+    parts = []
+    for chunk in chunks:
+        # dropping a pair can lower depth_cap, so the depth table follows the raw count
+        fid, psucc = _depth_tables(chunk, top_n)
+        table = _exact_table(fid, psucc, top_m, policy)
+        parts.append((table[[m for _, m in counts]],
+                      fid[[depth_cap(n) for n, _ in counts]]))
+    values, references = (np.concatenate(x, axis=-1).tolist() for x in zip(*parts))
+    return [(n, v, r) for (n, _), v, r in zip(counts, values, references)]

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -370,7 +374,56 @@ PINNED = {
     "fig3_stop_at_one": (
         ["fig3", "--start", "0.5", "--stop", "1.0", "--step", "0.3"],
         "124ce3f1e79da3dbde8da644f4e6ada54e07b8b5b46044df1029aca4dfa7d687", "", 0),
+    # errors come in the order of a loop over A0: the first A0, then the
+    # counts, then the later A0s
+    "fig3_bad_first_a0_before_cap": (
+        ["fig3", "--n-list", "4,5000", "--start", "1.1", "--stop", "1.3", "--step", "0.1"],
+        _EMPTY, "error: Werner parameter 1.1 outside [0, 1]\n", 2),
+    "fig3_cap_before_bad_later_a0": (
+        ["fig3", "--n-list", "4,5000", "--start", "0.9", "--stop", "1.2", "--step", "0.1"],
+        _EMPTY, _CAP_ERROR, 3),
+    "fig3_zero_count_before_bad_later_a0": (
+        ["fig3", "--n-list", "0,4", "--start", "0.9", "--stop", "1.2", "--step", "0.1"],
+        _EMPTY, "error: pair count must be >= 1, got 0\n", 2),
+    # a trajectory reads up to n uniforms: the work, not only the trials, is capped
+    "iterate_mc_work_cap": (
+        ["iterate", "--method", "mc", "--a0", "0.7", "--trials", "1", "--n",
+         "4611686018427387903"], _EMPTY,
+        "error: Monte Carlo capped at trials * n = 8000000000; "
+        "use fewer trials or fewer pairs\n", 3),
 }
+
+
+#: In-process calls in a row, argparse errors included, for the parser that
+#: ``main`` builds once per process.
+SEQUENCE = [
+    ["fig3", "--n-list", "4,6", "--start", "0.6", "--stop", "0.7", "--step", "0.05"],
+    ["step", "not-a-number", "0", "0", "0"],
+    ["nmin", "--start", "0.6", "--stop", "0.7", "--step", "0.05"],
+    ["iterate", "--a0", "0.75"],
+    ["fig3", "--policy", "bogus"],
+    ["iterate", "--n", "5", "--a0", "0.75", "--policy", "nobackup"],
+    ["fig4", "--n-stop", "5", "--a0", "2"],
+    [],
+    ["fig3", "--n-list", "4,6", "--start", "0.6", "--stop", "0.7", "--step", "0.05"],
+]
+
+
+def test_consecutive_calls_match_separate_processes(capsys, monkeypatch):
+    # the same usage line width in both processes
+    monkeypatch.setenv("COLUMNS", "100")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    for argv in SEQUENCE:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "belldistil.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert (captured.out, captured.err, code) == (
+            proc.stdout, proc.stderr, proc.returncode), argv
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))

@@ -3,27 +3,37 @@
 ``_depth_tables`` and ``n_min`` must agree bit for bit with the public,
 state-building maps they replace: the tables that the trajectory kernel
 reads set the Monte Carlo bits, and ``n_min`` sets the bytes of the
-``nmin`` CSV.
+``nmin`` CSV.  A ``(4, k)`` coefficient stack must give every state the
+bits of its own call, through the maps, the depth tables, ``n_min`` and
+the exact table, and the same error as the first state that fails.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from belldistil import (
+    BACKUP,
+    DROP_ONE,
+    NO_BACKUP,
     BellDiagonalState,
     FallbackAboveTargetError,
+    InvalidStateError,
+    IterationPolicy,
     NotDistillableError,
     UnsuccessfulConvention,
     distill_step,
     iterate_map,
     n_min,
     success_probability,
+    sweep_over_n,
     werner,
 )
-from belldistil.cli import _a_grid
-from belldistil.iterative_scheme import _depth_tables, depth_cap
+from belldistil.bell_core import _normalized, _square
+from belldistil.cli import _a_grid, _werner_stack
+from belldistil.iterative_scheme import _STACK_ENTRIES, _depth_tables, depth_cap
 
 #: The Werner grid of ``nmin --step 0.001``, 200 random states and a few edges.
 STATES = (
@@ -33,6 +43,18 @@ STATES = (
     + [BellDiagonalState(*c) for c in [(1, 0, 0, 0), (0.5, 0.5, 0, 0),
                                        (0.25,) * 4, (0.9, 0.1, 0, 0), (0, 0, 0, 1)]]
 )
+
+
+#: The Werner grid of ``fig3 --step 0.002``.
+FIG3_GRID = _a_grid(0.505, 0.995, 0.002)
+
+#: Every policy of the library, and the relaxed stop rule.
+POLICIES = [BACKUP, NO_BACKUP, DROP_ONE, IterationPolicy(stop_at_two_without_backup=False)]
+
+
+def stack(states):
+    """The ``(4, k)`` coefficient stack of a list of states."""
+    return np.array([s.as_tuple() for s in states]).T
 
 
 def public_tables(s0, n):
@@ -85,3 +107,91 @@ def test_n_min_matches_the_step_formula(conv):
             raised.add(want.__name__)
     # the precondition error does occur on these states
     assert raised == {"NotDistillableError"}
+
+
+def test_square_rounds_like_python():
+    # numpy's ** and np.square compute x * x, which differs from C pow in
+    # the last bit for some of these
+    x = np.random.default_rng(3).random(200_000)
+    x = np.concatenate([x, 1.0 - 1e-3 * x, 1e-5 * x])
+    assert _square(x).tolist() == [v**2 for v in x.tolist()]
+
+
+@pytest.mark.parametrize("n", [2, 5, 33, 4096])
+def test_stacked_depth_tables_match_each_state(n):
+    fid, psucc = _depth_tables(stack(STATES), n)
+    assert fid.shape == psucc.shape == (depth_cap(n) + 1, len(STATES))
+    for i, s0 in enumerate(STATES):
+        want_fid, want_psucc = _depth_tables(s0, n)
+        assert fid[:, i].tolist() == want_fid.tolist()
+        assert psucc[:, i].tolist() == want_psucc.tolist()
+
+
+@pytest.mark.parametrize("conv", list(UnsuccessfulConvention))
+def test_stacked_n_min_matches_each_state(conv):
+    got = n_min(stack(STATES), conv)
+    want = [outcome(n_min, s, conv) for s in STATES]
+    assert [None if isinstance(w, type) else w for w in want] == got
+    assert None in got
+
+
+def test_werner_stack_matches_each_state():
+    grid = _a_grid(0.0, 1.0, 0.0007) + [1.0]
+    assert _werner_stack(grid).T.tolist() == [list(werner(a).as_tuple()) for a in grid]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_stacked_exact_table_matches_each_state(policy):
+    counts = [1, 2, 3, 4, 5, 6, 12, 33, 128]
+    rows = sweep_over_n(_werner_stack(FIG3_GRID), counts, policy)
+    assert [n for n, _, _ in rows] == counts
+    for i, a0 in enumerate(FIG3_GRID):
+        want = sweep_over_n(werner(a0), counts, policy)
+        assert [(n, values[i], refs[i]) for n, values, refs in rows] == want, a0
+
+
+def test_empty_stack_gives_empty_columns():
+    empty = np.empty((4, 0))
+    assert sweep_over_n(empty, [4, 5], BACKUP) == [(4, [], []), (5, [], [])]
+    assert n_min(empty, UnsuccessfulConvention.CONDITIONAL) == []
+
+
+def test_stack_wider_than_a_chunk_matches_each_state():
+    count = 2000
+    grid = _a_grid(0.5, 0.99, 0.01)
+    assert len(grid) > _STACK_ENTRIES // (count + 1)
+    ((_, values, refs),) = sweep_over_n(_werner_stack(grid), [count], BACKUP)
+    assert [(v, r) for v, r in zip(values, refs)] == [
+        sweep_over_n(werner(a0), [count], BACKUP)[0][1:] for a0 in grid
+    ]
+
+
+def test_stacked_sweep_memory_is_bounded_at_any_grid_size():
+    # one table over these 99 states at 2000 pairs would peak near 11 MB
+    grid = _a_grid(0.5, 0.99, 0.005)
+    stacked = _werner_stack(grid)
+    tracemalloc.start()
+    try:
+        sweep_over_n(stacked, [2000], BACKUP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def scalar_error(coeffs):
+    with pytest.raises(InvalidStateError) as exc:
+        BellDiagonalState(*coeffs)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("later", [(0.2, 0.8, 0.1, 0.0), (-1e-3, 0.5, 0.5, 0.0),
+                                   (float("nan"), 1.0, 0.0, 0.0)])
+@pytest.mark.parametrize("first", [(0.25, float("nan"), 0.25, 0.25),
+                                   (0.7, 0.2, -0.1, 0.2), (0.6, 0.2, 0.2, 0.2)])
+def test_stack_raises_the_first_failing_states_message(first, later):
+    rows = [(0.25,) * 4] * 8
+    rows[3], rows[5] = first, later
+    with pytest.raises(InvalidStateError) as exc:
+        _normalized(*np.array(rows).T)
+    assert str(exc.value) == scalar_error(first)

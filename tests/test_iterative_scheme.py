@@ -26,6 +26,7 @@ from belldistil import _trajectory_py
 from belldistil._kernels import simulate, simulate_philox
 from belldistil.iterative_scheme import (
     MC_TRIALS_CAP,
+    MC_WORK_CAP,
     _depth_tables,
     _effective_n,
     depth_cap,
@@ -231,6 +232,26 @@ class TestExpectedFidelityMC:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_work_cap_raises_before_allocating(self, monkeypatch):
+        import belldistil.iterative_scheme as scheme
+
+        # one trial on 2**62 - 1 pairs has a valid stream index but would
+        # read up to that many uniforms
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match=f"trials \\* n = {MC_WORK_CAP};"):
+                expected_fidelity_mc(2**62 - 1, WERNER_075, BACKUP, trials=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # the cap counts the pairs that are run: dropping one brings 10 * 11 under it
+        monkeypatch.setattr(scheme, "MC_WORK_CAP", 100)
+        assert expected_fidelity_mc(10, WERNER_075, BACKUP, 10, 0).trials == 10
+        assert expected_fidelity_mc(10, WERNER_075, DROP_ONE, 11, 0).trials == 11
+        with pytest.raises(ResourceCapError):
+            expected_fidelity_mc(10, WERNER_075, BACKUP, 11, 0)
 
     def test_agrees_with_exact(self):
         stats = expected_fidelity_mc(5, WERNER_075, BACKUP, trials=100_000, seed=42)
