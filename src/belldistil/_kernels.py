@@ -1,13 +1,14 @@
-"""The compiled trajectory kernel.
+"""The compiled trajectory kernel and the exact table's binomial averaging.
 
 ``_trajectory_c`` is built from ``_trajectory_c.c`` by ``setup.py``; there
 is no fallback.  Without it, importing this module (and so ``belldistil``)
 raises an ``ImportError`` that names the module and the build command.
-``_trajectory_py`` holds the reference loop that tests compare against.
+``_trajectory_py`` holds the reference loop that tests compare the kernel
+against; the tests hold the numpy loop that ``binomial_rows`` replaced.
 """
 
 try:
-    from ._trajectory_c import IMPL, simulate, simulate_philox
+    from ._trajectory_c import IMPL, binomial_rows, simulate, simulate_philox
 except ImportError as exc:
     raise ImportError(
         f"compiled trajectory kernel belldistil._trajectory_c is unavailable "

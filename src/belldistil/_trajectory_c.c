@@ -1,8 +1,8 @@
-/* Compiled trajectory kernel.
+/* Compiled trajectory kernel and the exact table's binomial averaging.
  *
- * Semantics are identical to ``_trajectory_py``; see that module for the
- * reference loop.  ``simulate`` reads its uniforms from a caller's array.
- * ``simulate_philox`` computes each uniform from its index in numpy's
+ * Trajectory semantics are identical to ``_trajectory_py``; see that module
+ * for the reference loop.  ``simulate`` reads its uniforms from a caller's
+ * array.  ``simulate_philox`` computes each uniform from its index in numpy's
  * Philox4x64-10 stream (Salmon et al., SC'11) when a trajectory reads it,
  * so it holds no uniforms beyond a 2 KiB stack batch at any n0: double i of
  * the stream keyed by (k0, k1) is lane i % 4 of the block at the counter
@@ -15,6 +15,11 @@
  * dimensions, contiguity, writability and size before any element is
  * touched.  The loop releases the GIL, so callers may split the trial axis
  * across threads.
+ *
+ * ``binomial_rows`` runs the survivor averaging of ``_exact_table`` in place
+ * on the table's flattened columns, with the products and sums of the numpy
+ * loop that the tests keep as its reference, so every exact value keeps its
+ * bits.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -314,18 +319,118 @@ simulate_philox(PyObject *self, PyObject *args, PyObject *kwargs)
                stop_at_two, failure_fidelity, out_obj, failed_obj);
 }
 
+/* ``steps`` binomial averaging steps in place on the ``rows`` x ``m`` table
+ * ``w`` whose column c belongs to state c % k; row 0 of step s goes to row
+ * s - 1 of ``after``.  Each element is two products and their sum, in the
+ * order of the numpy loop it replaces; setup.py turns off FMA contraction,
+ * which would round them once. */
+static void
+binomial_steps(double *restrict w, Py_ssize_t rows, Py_ssize_t m,
+               const double *restrict p, const double *restrict q,
+               Py_ssize_t k, double *restrict after, Py_ssize_t steps)
+{
+    Py_ssize_t step, end, i, j;
+
+    for (step = 1; step <= steps; step++) {
+        end = (rows - step) * m;
+        if (k == 1) {
+            const double p0 = p[0], q0 = q[0];
+
+            for (i = 0; i < end; i++)
+                w[i] = q0 * w[i] + p0 * w[i + m];
+        }
+        else
+            /* slot-major: the state index runs innermost, with no modulo */
+            for (i = 0; i < end; i += k)
+                for (j = 0; j < k; j++)
+                    w[i + j] = q[j] * w[i + j] + p[j] * w[i + j + m];
+        memcpy(after + (step - 1) * m, w, (size_t)m * sizeof *w);
+    }
+}
+
+PyDoc_STRVAR(binomial_rows_doc,
+"binomial_rows(w, p, after)\n"
+"--\n\n"
+"For s = 1 .. len(after), set ``w[i] = (1 - p) * w[i] + p * w[i + 1]`` for\n"
+"the first len(w) - s rows and copy row 0 to ``after[s - 1]``.  Column c of\n"
+"``w`` and ``after`` belongs to state c % len(p).");
+
+static PyObject *
+binomial_rows(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *keywords[] = {"w", "p", "after", NULL};
+    PyObject *w_obj, *p_obj, *after_obj, *result = NULL;
+    Py_buffer w, p, after;
+    Py_ssize_t rows, m, k, j;
+    double *pq;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:binomial_rows",
+                                     keywords, &w_obj, &p_obj, &after_obj))
+        return NULL;
+    if (get_array(w_obj, &w, "w", 2, "d", 1) < 0)
+        return NULL;
+    if (get_array(p_obj, &p, "p", 1, "d", 0) < 0)
+        goto release_w;
+    if (get_array(after_obj, &after, "after", 2, "d", 1) < 0)
+        goto release_p;
+
+    rows = w.shape[0];
+    m = w.shape[1];
+    k = p.shape[0];
+    if (after.shape[1] != m)
+        PyErr_Format(PyExc_ValueError,
+                     "w and after need the same columns, got %zd and %zd",
+                     m, after.shape[1]);
+    else if (after.shape[0] >= rows)
+        PyErr_Format(PyExc_ValueError,
+                     "after needs fewer rows than w, got %zd and %zd",
+                     after.shape[0], rows);
+    else if (k == 0 ? m != 0 : m % k != 0)
+        PyErr_Format(PyExc_ValueError,
+                     "%zd columns are not a whole number of slots of %zd states",
+                     m, k);
+    else if ((char *)w.buf < (char *)after.buf + after.len
+             && (char *)after.buf < (char *)w.buf + w.len)
+        PyErr_SetString(PyExc_ValueError, "w and after overlap");
+    /* private copies of p and 1 - p, which no write to w can change */
+    else if ((pq = PyMem_Malloc(2 * (size_t)k * sizeof *pq)) == NULL)
+        PyErr_NoMemory();
+    else {
+        const double *ps = p.buf;
+
+        for (j = 0; j < k; j++) {
+            pq[j] = ps[j];
+            pq[k + j] = 1.0 - ps[j];
+        }
+        Py_BEGIN_ALLOW_THREADS
+        binomial_steps(w.buf, rows, m, pq, pq + k, k, after.buf, after.shape[0]);
+        Py_END_ALLOW_THREADS
+        PyMem_Free(pq);
+        result = Py_NewRef(Py_None);
+    }
+
+    PyBuffer_Release(&after);
+release_p:
+    PyBuffer_Release(&p);
+release_w:
+    PyBuffer_Release(&w);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"simulate", (PyCFunction)(void (*)(void))simulate,
      METH_VARARGS | METH_KEYWORDS, simulate_doc},
     {"simulate_philox", (PyCFunction)(void (*)(void))simulate_philox,
      METH_VARARGS | METH_KEYWORDS, simulate_philox_doc},
+    {"binomial_rows", (PyCFunction)(void (*)(void))binomial_rows,
+     METH_VARARGS | METH_KEYWORDS, binomial_rows_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     "belldistil._trajectory_c",
-    "Compiled trajectory kernel; see ``_trajectory_py`` for the reference loop.",
+    "Compiled trajectory kernel and the exact table's binomial averaging.",
     -1,
     methods,
 };

@@ -59,9 +59,14 @@ MC_TRIALS_CAP = 10_000_000
 #: cap ends in about a minute.
 MC_WORK_CAP = 8_000_000_000
 
+#: Largest states * n**2 accepted by an exact sweep, n its largest effective
+#: count.  A sweep at the cap, 4,768 states at n = 4096, takes about 50 s on
+#: one core (x86-64, 2 CPUs).
+_EXACT_WORK_CAP = 80_000_000_000
+
 #: A coefficient stack is evaluated in chunks of states whose exact tables
-#: hold at most this many (state, starting count) entries, about 60 bytes
-#: each at the peak, so a sweep stays under 4 MB at any grid size.
+#: hold at most this many (state, starting count) entries, about 32 bytes
+#: each at the peak, so a sweep stays near 2 MB at any grid size.
 _STACK_ENTRIES = 2**16
 
 
@@ -152,8 +157,10 @@ def _exact_table(
     the small infidelity instead of the fidelity keeps the rounding of the
     branch averages relative to it.  The average over Binomial(m, p)
     survivors is row 0 of ``(q + p * shift)**m`` applied to the deeper
-    table.  Depth tables with a trailing state axis give the table that
-    axis too; every operation is elementwise along it.
+    table; the compiled ``_kernels.binomial_rows`` takes those steps in
+    place, and the tests keep the numpy loop it replaced as its reference.
+    Depth tables with a trailing state axis give the table that axis too;
+    every operation is elementwise along it.
     """
     loss = 1.0 - fid
     states = loss.shape[1:]
@@ -165,12 +172,12 @@ def _exact_table(
         value[0, 1:] = loss[:depth]
         value[1] = loss[depth]
         if top >= 2:
-            p = psucc[depth]
             # after[k - 1] averages the deeper table over the survivors of k steps
-            w, after = deeper, np.empty((top // 2, depth + 2) + states)
-            for row in after:
-                w = (1.0 - p) * w[:-1] + p * w[1:]
-                row[:] = w[0]
+            after = np.empty((top // 2, depth + 2) + states)
+            columns = after[0].size
+            _kernels.binomial_rows(deeper.reshape(len(deeper), columns),
+                                   np.reshape(psucc[depth], -1),
+                                   after.reshape(len(after), columns))
             value[2::2] = after[:, : depth + 1]
             # an odd count stores one pair at this depth, replacing any older backup
             odd = after[: (top - 1) // 2]
@@ -300,18 +307,26 @@ def sweep_over_n(
     For a ``(4, k)`` coefficient stack the expectation and the reference
     are lists over its k states, each equal to the call on that state
     alone; the stack is evaluated in chunks of states that bound the
-    table's memory.
+    table's memory.  The work grows with states * n**2 for the largest
+    effective count n, so more than ``_EXACT_WORK_CAP`` raises
+    :class:`ResourceCapError` after the counts are checked and before any
+    table is built.
     """
     counts = _exact_counts(n_range, policy)
     if not counts:
         return []
     top_n, top_m = max(n for n, _ in counts), max(m for _, m in counts)
     if isinstance(s0, BellDiagonalState):
-        chunks = [s0]
+        states, chunks = 1, [s0]
     else:
-        width = _STACK_ENTRIES // (top_m + 1)
+        states, width = s0.shape[1], _STACK_ENTRIES // (top_m + 1)
         # an empty stack is one empty chunk
-        chunks = [s0[:, i : i + width] for i in range(0, max(s0.shape[1], 1), width)]
+        chunks = [s0[:, i : i + width] for i in range(0, max(states, 1), width)]
+    if states * top_m**2 > _EXACT_WORK_CAP:
+        raise ResourceCapError(
+            f"exact expectation capped at states * n**2 = {_EXACT_WORK_CAP}; "
+            "use fewer states or fewer pairs"
+        )
     parts = []
     for chunk in chunks:
         # dropping a pair can lower depth_cap, so the depth table follows the raw count

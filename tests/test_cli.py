@@ -1,14 +1,16 @@
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from belldistil import ResourceCapError, expected_fidelity_exact, werner
+from belldistil import ResourceCapError, expected_fidelity_exact, iterative_scheme, werner
 from belldistil.cli import _GRID_POINT_CAP, _POLICIES, _a_grid, _fmt, main
 
 
@@ -440,3 +442,48 @@ def test_pinned_output_and_exit_code(name, capsys, tmp_path):
         out = path.read_text(encoding="ascii")
     assert (hashlib.sha256(out.encode("ascii")).hexdigest(), err, got_code) == (
         digest, stderr, code)
+
+
+def test_exact_work_cap_exits_before_any_table(capsys, monkeypatch):
+    # 49,001 states at 4096 pairs: about ten times the cap
+    monkeypatch.setattr(iterative_scheme, "_exact_table", None)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fig3", "--n-list", "4096", "--step", "1e-5")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (3, "", (
+        "error: exact expectation capped at states * n**2 = 80000000000; "
+        "use fewer states or fewer pairs\n"))
+
+
+def test_pinned_rows_and_benchmark_ops_stay_under_the_work_cap(capsys, monkeypatch,
+                                                                tmp_path):
+    # the tables of one call cover states * n**2 of each sweep it makes
+    work = []
+    table = iterative_scheme._exact_table
+
+    def counting_table(fid, psucc, n, policy):
+        work.append(fid[0].size * n**2)
+        return table(fid, psucc, n, policy)
+
+    monkeypatch.setattr(iterative_scheme, "_exact_table", counting_table)
+    paths = {"{out}": str(tmp_path / "out.csv"),
+             "{missing}": str(tmp_path / "missing" / "out.csv")}
+    calls = {name: lambda argv=argv: run(capsys, *[paths.get(a, a) for a in argv])
+             for name, (argv, _, _, _) in PINNED.items()}
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    goldens = workloads.load_goldens()
+    for make in (workloads.paper_figures, workloads.exact_large_n):
+        calls.update({f"{make.__name__}.{op.name}": op.call
+                      for op in make(workloads.DEFAULT_SEED, goldens)})
+    largest = 0
+    for name, call in calls.items():
+        work.clear()
+        call()
+        assert sum(work) <= iterative_scheme._EXACT_WORK_CAP, name
+        largest = max(largest, sum(work))
+    assert largest == 4096**2

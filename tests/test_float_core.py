@@ -5,7 +5,9 @@ state-building maps they replace: the tables that the trajectory kernel
 reads set the Monte Carlo bits, and ``n_min`` sets the bytes of the
 ``nmin`` CSV.  A ``(4, k)`` coefficient stack must give every state the
 bits of its own call, through the maps, the depth tables, ``n_min`` and
-the exact table, and the same error as the first state that fails.
+the exact table, and the same error as the first state that fails.  The
+compiled ``binomial_rows`` must give the bits of the numpy loop it
+replaced, which stays here as its reference.
 """
 
 import math
@@ -31,6 +33,7 @@ from belldistil import (
     sweep_over_n,
     werner,
 )
+from belldistil import _kernels
 from belldistil.bell_core import _normalized, _square
 from belldistil.cli import _a_grid, _werner_stack
 from belldistil.iterative_scheme import _STACK_ENTRIES, _depth_tables, depth_cap
@@ -79,6 +82,18 @@ def public_n_min(s, conv):
     if f_u >= s.a:
         raise FallbackAboveTargetError("fallback above target")
     return 2.0 * math.log((s.a - f_s) / (f_u - f_s)) / math.log(1.0 - step.p_success)
+
+
+def reference_binomial_rows(w, p, after):
+    """The numpy loop that ``_kernels.binomial_rows`` replaced: ``after[k - 1]``
+    is row 0 of ``w`` after k averaging steps.  Returns the last ``w``; the
+    caller's ``w`` is left as it is."""
+    # column c belongs to state c % len(p)
+    p = np.resize(p, w.shape[1])
+    for row in after:
+        w = (1.0 - p) * w[:-1] + p * w[1:]
+        row[:] = w[0]
+    return w
 
 
 def outcome(fn, *args):
@@ -195,3 +210,89 @@ def test_stack_raises_the_first_failing_states_message(first, later):
     with pytest.raises(InvalidStateError) as exc:
         _normalized(*np.array(rows).T)
     assert str(exc.value) == scalar_error(first)
+
+
+def binomial_case(rows, slots, p, steps):
+    """A random ``rows`` x (``slots`` * len(p)) table and the ``after`` rows
+    of ``steps`` steps."""
+    w = np.random.default_rng(rows * slots + len(p)).random((rows, slots * len(p)))
+    return w, np.asarray(p, dtype=float), np.empty((steps, w.shape[1]))
+
+
+def random_p(k):
+    p = np.random.default_rng(k).random(k)
+    p[::3], p[1::3] = 0.0, 1.0
+    return p
+
+
+@pytest.mark.parametrize("rows, slots, p, steps", [
+    (2, 1, [0.3], 1),
+    (9, 3, [0.0], 8),
+    (9, 3, [1.0], 8),
+    (2049, 2, [0.6410256410256411], 2048),
+    (40, 5, [0.77], 12),
+    (17, 2, random_p(4), 16),
+    (33, 4, random_p(7), 20),
+    # wider than one chunk of _STACK_ENTRIES (state, count) entries at 32 pairs
+    (17, 2, random_p(_STACK_ENTRIES // 33 + 5), 16),
+    (6, 3, [], 5),
+])
+def test_binomial_rows_matches_the_numpy_loop(rows, slots, p, steps):
+    w, p, after = binomial_case(rows, slots, p, steps)
+    want_after = np.full_like(after, np.nan)
+    want_w = reference_binomial_rows(w.copy(), p, want_after)
+    _kernels.binomial_rows(w, p, after)
+    assert after.tolist() == want_after.tolist()
+    assert w[: rows - steps].tolist() == want_w.tolist()
+
+
+def test_exact_table_matches_the_numpy_loop(monkeypatch):
+    counts = list(range(1, 40)) + [300, 1023]
+    stacked = _werner_stack(_a_grid(0.505, 0.995, 0.035))
+
+    def sweeps():
+        return [sweep_over_n(s0, counts, policy)
+                for policy in POLICIES for s0 in (werner(0.75), stacked)]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "binomial_rows", reference_binomial_rows)
+        want = sweeps()
+    assert sweeps() == want
+
+
+def test_binomial_rows_rejects_bad_buffers():
+    rows, steps, p = 9, 8, random_p(4)
+    # w and after are views between sentinel rows, so a stray write shows
+    w_base = np.random.default_rng(0).random((rows + 2, 2 * len(p)))
+    after_base = np.full((steps + 2, 2 * len(p)), -1.0)
+    w, after = w_base[1:-1], after_base[1:-1]
+    w_before = w_base.copy()
+    read_only = w.copy()
+    read_only.flags.writeable = False
+    bad = {
+        "float32 w": dict(w=w.astype(np.float32)),
+        "int64 p": dict(p=np.ones(4, dtype=np.int64)),
+        "1-d w": dict(w=w.ravel()),
+        "2-d p": dict(p=p[None]),
+        "non-contiguous w": dict(w=np.repeat(w, 2, axis=1)[:, ::2]),
+        "non-contiguous after": dict(after=np.repeat(after, 2, axis=1)[:, ::2]),
+        "read-only w": dict(w=read_only),
+        "read-only after": dict(after=read_only[:-1]),
+        "after as long as w": dict(after=np.empty(w.shape)),
+        "after overlapping w": dict(after=w[1:]),
+        "after with other columns": dict(after=np.empty((steps, w.shape[1] - 4))),
+        "columns not a whole number of slots": dict(p=p[:3].copy()),
+        "columns with no states": dict(p=np.empty(0)),
+    }
+    for name, override in bad.items():
+        args = dict(w=w, p=p, after=after)
+        args.update(override)
+        with pytest.raises(ValueError):
+            _kernels.binomial_rows(**args)
+        assert w_base.tolist() == w_before.tolist(), name
+        assert (after_base == -1.0).all(), name
+    _kernels.binomial_rows(w, p, after)
+    assert w_base[0].tolist() == w_before[0].tolist()
+    assert w_base[-1].tolist() == w_before[-1].tolist()
+    assert (after_base[0] == -1.0).all() and (after_base[-1] == -1.0).all()
+    assert not (after_base[1:-1] == -1.0).any()
