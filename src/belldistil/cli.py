@@ -19,8 +19,8 @@ success, 1 verification failure, 2 usage error (also an unwritable
 below 1e-12, the resolution of the grid points, an empty ``fig4`` range, or
 a Monte Carlo stream index past 64 bits), 3 resource cap (an exact
 expectation above 4096 pairs, a Monte Carlo run of more than 10,000,000
-trials or of more than 8,000,000,000 trials * pairs, or a grid of more than
-100,000 points).
+trials or of more than 8,000,000,000 trials * pairs, a grid of more than
+100,000 points, or a ``verify-oracle`` run of more than 1,000,000 samples).
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .errors import InvalidStateError, ResourceCapError
 from .finite_ensemble import (
     UnsuccessfulConvention,
     n_min,
-    round_up_even,
     unsuccessful_fidelity,
 )
 from .iterative_scheme import (
@@ -62,7 +61,6 @@ from .iterative_scheme import (
     fully_successful_fidelity,
     sweep_over_n,
 )
-from .oracle import compare_with_closed_form, verify_rotation_choice
 
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
@@ -111,11 +109,12 @@ def _werner_stack(grid: list[float]) -> np.ndarray:
     return np.array(_werner_coeffs(np.array(grid)))
 
 
-def _write_csv(path: str | None, header: list[str], rows: Iterable[list[str]]) -> None:
+def _write_csv(path: str | None, header: list[str], rows: Iterable[str]) -> None:
     """Write the table to ``path``, or to stdout when no path is given.
 
-    ``rows`` is read once, so a generator never holds every row at once."""
-    text = "".join(",".join(row) + "\n" for row in itertools.chain([header], rows))
+    ``rows`` holds each row's comma-joined cells and is read once, so a
+    generator never holds every row at once."""
+    text = "".join(row + "\n" for row in itertools.chain([",".join(header)], rows))
     if path is None:
         sys.stdout.write(text)
         return
@@ -157,12 +156,6 @@ def cmd_step(args: argparse.Namespace) -> int:
     return 0
 
 
-def _nmin_cells(value: float | None) -> list[str]:
-    """The value and its even round-up; empty where ``n_min`` has none (no
-    gain, or a fallback above the target)."""
-    return ["", ""] if value is None else [_fmt(value), str(round_up_even(value))]
-
-
 def cmd_nmin(args: argparse.Namespace) -> int:
     grid = _a_grid(args.start, args.stop, args.step)
     stack = _werner_stack(grid)
@@ -170,9 +163,15 @@ def cmd_nmin(args: argparse.Namespace) -> int:
         n_min(stack, conv)
         for conv in (UnsuccessfulConvention.LOCC_FLOOR, UnsuccessfulConvention.CONDITIONAL)
     ]
+    # each value and its round_up_even, written out as 2 * ceil(x / 2) but at
+    # least 2 because a call per cell is a measurable share of the op; both
+    # cells stay empty where n_min has no value (no gain, or a fallback
+    # above the target)
     rows = (
-        [_fmt(a), *_nmin_cells(locc), *_nmin_cells(conditional)]
-        for a, locc, conditional in zip(grid, *columns)
+        f"{a:.12g},"
+        f"{',' if locc is None else f'{locc:.12g},{max(2, math.ceil(locc / 2) * 2)}'},"
+        f"{',' if cond is None else f'{cond:.12g},{max(2, math.ceil(cond / 2) * 2)}'}"
+        for a, locc, cond in zip(grid, *columns)
     )
     _write_csv(
         args.out,
@@ -212,7 +211,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     cells = sweep_over_n(_werner_stack(grid), args.n_list, policy)
     rows = [
         # the ratio is undefined at A0 = 0 (or -0.0): its cells stay empty
-        [_fmt(a0)] + [_fmt(f / a0) if a0 else "" for f in values]
+        ",".join([_fmt(a0)] + [_fmt(f / a0) if a0 else "" for f in values])
         for a0, *values in zip(grid, *(column for _, column, _ in cells))
     ]
     _write_csv(args.out, ["A0"] + [f"ratio_N{n}" for n in args.n_list], rows)
@@ -227,7 +226,7 @@ def cmd_fig4(args: argparse.Namespace) -> int:
     s0 = werner(args.a0)
     n_range = range(args.n_start, args.n_stop + 1)
     rows = [
-        [str(n), _fmt(nobackup), _fmt(backup), _fmt(full)]
+        f"{n},{nobackup:.12g},{backup:.12g},{full:.12g}"
         for (n, nobackup, full), (_, backup, _) in zip(
             sweep_over_n(s0, n_range, NO_BACKUP), sweep_over_n(s0, n_range, BACKUP)
         )
@@ -237,8 +236,13 @@ def cmd_fig4(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_oracle(args: argparse.Namespace) -> int:
-    rotation = verify_rotation_choice(min(args.samples, 1000), args.seed)
+    # imported here: compiled from source, the oracle module costs about
+    # 0.6 MB of resident memory that no other subcommand needs
+    from .oracle import compare_with_closed_form, verify_rotation_choice
+
+    # the comparison checks the sample count before anything is drawn
     report = compare_with_closed_form(args.samples, args.seed)
+    rotation = verify_rotation_choice(min(args.samples, 1000), args.seed)
     print(f"rotation convention   {'pass' if rotation.passed else 'FAIL'}"
           f" (max deviation {rotation.max_deviation:.3g})")
     print(f"samples               {report.samples}")

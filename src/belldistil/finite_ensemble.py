@@ -110,16 +110,16 @@ def _n_min_terms(coeffs, conv: UnsuccessfulConvention):
     return _success_coeffs(*coeffs, p)[0], _fallback_fidelity(coeffs, conv), 1.0 - p
 
 
-def _n_min(a: float, f_s: float, f_u: float, fail: float) -> float:
-    if a <= 0.5 or f_s <= a:
-        raise NotDistillableError(
-            f"fidelity {a!r} cannot be increased by a distillation step"
-        )
-    if f_u >= a:
-        raise FallbackAboveTargetError(
-            f"fallback fidelity {f_u!r} already >= target {a!r}"
-        )
-    return 2.0 * math.log((a - f_s) / (f_u - f_s)) / math.log(fail)
+def _log(x):
+    """``math.log``, elementwise for arrays: ``np.log`` differs from it in
+    the last bit of some inputs."""
+    return np.array(list(map(math.log, x.tolist()))) if isinstance(x, np.ndarray) else math.log(x)
+
+
+def _n_min(a, f_s, f_u, fail):
+    """The sample size of :func:`n_min` from its terms, for floats or for
+    arrays of states that it accepts."""
+    return 2.0 * _log((a - f_s) / (f_u - f_s)) / _log(fail)
 
 
 def n_min(
@@ -137,16 +137,22 @@ def n_min(
     on that state alone would raise one of those two errors.
     """
     if isinstance(s, BellDiagonalState):
-        return _n_min(s.a, *_n_min_terms(s.as_tuple(), conv))
-    terms = (s[0], *_n_min_terms(s, conv))
-    values = []
-    # math.log per state: np.log differs from it in the last bit of some inputs
-    for row in zip(*(np.broadcast_to(x, s[0].shape).tolist() for x in terms)):
-        try:
-            values.append(_n_min(*row))
-        except (NotDistillableError, FallbackAboveTargetError):
-            values.append(None)
-    return values
+        a, (f_s, f_u, fail) = s.a, _n_min_terms(s.as_tuple(), conv)
+        if a <= 0.5 or f_s <= a:
+            raise NotDistillableError(
+                f"fidelity {a!r} cannot be increased by a distillation step"
+            )
+        if f_u >= a:
+            raise FallbackAboveTargetError(
+                f"fallback fidelity {f_u!r} already >= target {a!r}"
+            )
+        return _n_min(a, f_s, f_u, fail)
+    a, f_s, f_u, fail = np.broadcast_arrays(s[0], *_n_min_terms(s, conv))
+    # the states that the float call rejects, by its own comparisons
+    keep = ~((a <= 0.5) | (f_s <= a) | (f_u >= a))
+    values = np.full(keep.shape, None)
+    values[keep] = _n_min(a[keep], f_s[keep], f_u[keep], fail[keep])
+    return values.tolist()
 
 
 def round_up_even(x: float) -> int:

@@ -5,7 +5,9 @@ full protocol step: local pre-rotations on all four qubits, bilateral
 CNOTs, projective measurement of the target pair, and post-selection.  The
 recovered success probability and branch states must reproduce the
 coefficient maps of :mod:`belldistil.bell_core` exactly; nothing in this
-module reuses those maps.
+module reuses those maps.  A branch is sliced out of the 16x16 matrix by
+the kept outcomes.  The randomized checks call the closed form once per
+state and the oracle once per stack of states, and scan deviations per stack.
 
 Qubit ordering in the 16-dimensional space is (1_A, 1_B, 2_A, 2_B); each
 pair is Alice-major (A, B) with computational basis order 00, 01, 10, 11.
@@ -19,8 +21,8 @@ from functools import cache
 
 import numpy as np
 
-from .bell_core import BellDiagonalState
-from .errors import NotBellDiagonalError
+from .bell_core import BellDiagonalState, _normalized, _state
+from .errors import NotBellDiagonalError, ResourceCapError
 
 HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-12
@@ -32,6 +34,9 @@ UNREACHABLE_TRACE_ATOL = 1e-14
 #: Samples per numpy call in the randomized checks.  It bounds their memory
 #: at any sample count; the results do not depend on it.
 _ORACLE_STACK = 16
+
+#: Most samples a randomized check may draw: about a minute of the oracle.
+_ORACLE_SAMPLE_CAP = 1_000_000
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -84,24 +89,22 @@ def embed(s: BellDiagonalState | Sequence[BellDiagonalState]) -> np.ndarray:
     A sequence of states gives the stack of their matrices.
     """
     single = isinstance(s, BellDiagonalState)
-    coeffs = np.array([x.as_tuple() for x in ([s] if single else s)])
-    m = np.zeros((len(coeffs), 4, 4), dtype=complex)
-    for coeff, vec in zip(coeffs.T, BELL_BASIS):
-        m += coeff[:, np.newaxis, np.newaxis] * np.outer(vec, vec.conj())
+    m = _embed(np.array([x.as_tuple() for x in ([s] if single else s)]))
     return m[0] if single else m
 
 
-def bell_coefficients(
-    m: np.ndarray,
-) -> BellDiagonalState | list[BellDiagonalState]:
-    """Inverse of :func:`embed`: read the four Bell-projector coefficients.
+def _embed(coeffs: np.ndarray) -> np.ndarray:
+    """The stack of :func:`embed` for a ``(k, 4)`` coefficient array."""
+    m = np.zeros((len(coeffs), 4, 4), dtype=complex)
+    for coeff, vec, vec_conj in zip(coeffs.T, BELL_BASIS, _bell_basis_conj()):
+        m += coeff[:, np.newaxis, np.newaxis] * np.outer(vec, vec_conj)
+    return m
 
-    Rejects matrices with Bell-basis off-diagonal elements above
-    ``BELL_OFFDIAG_ATOL`` or with non-negligible imaginary diagonal parts;
-    in a stack, each check reports the first sample that fails it.  A
-    stack of matrices gives the list of their states.
-    """
-    in_bell = BELL_BASIS.conj() @ _stacked(m) @ BELL_BASIS.T
+
+def _bell_diagonal(m: np.ndarray) -> np.ndarray:
+    """Real Bell-basis diagonals, ``(k, 4)``, after the checks of
+    :func:`bell_coefficients`."""
+    in_bell = _bell_basis_conj() @ _stacked(m) @ BELL_BASIS.T
     diag = np.diagonal(in_bell, axis1=1, axis2=2)
     off = in_bell.copy()
     # x - x rather than 0: a NaN coefficient passes here and the state rejects it
@@ -119,8 +122,26 @@ def bell_coefficients(
         raise NotBellDiagonalError(
             f"imaginary residue {residue[i]!r} in Bell coefficients"
         )
-    states = [BellDiagonalState(*row) for row in diag.real]
+    return diag.real
+
+
+def bell_coefficients(
+    m: np.ndarray,
+) -> BellDiagonalState | list[BellDiagonalState]:
+    """Inverse of :func:`embed`: read the four Bell-projector coefficients.
+
+    Rejects matrices with Bell-basis off-diagonal elements above
+    ``BELL_OFFDIAG_ATOL`` or with non-negligible imaginary diagonal parts;
+    in a stack, each check reports the first sample that fails it.  A
+    stack of matrices gives the list of their states.
+    """
+    states = [BellDiagonalState(*row) for row in _bell_diagonal(m)]
     return states[0] if m.ndim == 2 else states
+
+
+def _coefficient_rows(x: np.ndarray) -> np.ndarray:
+    """Each row of ``x`` with the bits of ``BellDiagonalState(*row)``."""
+    return np.stack(_normalized(*x.T), axis=1)
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -128,8 +149,19 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
-# The gates and projectors below do not depend on the state, so each is
-# built once and shared read-only.
+# The matrices below do not depend on the state, so each is built on first
+# use and shared read-only.
+
+
+@cache
+def _bell_basis_conj() -> np.ndarray:
+    return _read_only(BELL_BASIS.conj())
+
+
+@cache
+def _locc_floor() -> np.ndarray:
+    """The LOCC floor (1/2, 1/2, 0, 0), reported by an unreachable branch."""
+    return _read_only(embed(BellDiagonalState(0.5, 0.5, 0.0, 0.0)))
 
 
 @cache
@@ -191,15 +223,20 @@ def _kron_with_itself(ms: np.ndarray) -> np.ndarray:
 
 
 def _branch(rho: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Weight, normalized pair-1 state and reachability of one outcome."""
-    conditioned = proj @ rho @ proj
-    weight = np.trace(conditioned, axis1=1, axis2=2).real
+    """Weight, normalized pair-1 state and reachability of one outcome.
+
+    ``proj`` keeps outcomes b0, b1 of qubits 2_A, 2_B: the weight sums the
+    kept diagonal of ``rho`` and the state its (b0, b0) and (b1, b1)
+    blocks, with the bits of ``proj @ rho @ proj`` and its partial trace.
+    """
+    keep = proj.diagonal()  # complex, so the product below does not cast
+    weight = (rho.diagonal(axis1=1, axis2=2) * keep).sum(axis=1).real
     reachable = weight >= UNREACHABLE_TRACE_ATOL
-    # partial trace over qubits 2_A, 2_B (the trailing 4-dim factor)
-    reduced = conditioned.reshape(-1, 4, 4, 4, 4).trace(axis1=2, axis2=4)
+    b0, b1 = np.flatnonzero(keep[:4])
+    r4 = rho.reshape(-1, 4, 4, 4, 4)
+    reduced = r4[:, :, b0, :, b0] + r4[:, :, b1, :, b1]
     reduced /= np.where(reachable, weight, 1.0)[:, None, None]
-    # an unreachable branch reports the LOCC floor (1/2, 1/2, 0, 0)
-    reduced[~reachable] = embed(BellDiagonalState(0.5, 0.5, 0.0, 0.0))
+    reduced[~reachable] = _locc_floor()
     return weight, reduced, reachable
 
 
@@ -240,21 +277,23 @@ def apply_rotation_pair(m: np.ndarray, angle_sign: int = 1) -> np.ndarray:
 
 
 def _random_states(samples: int, seed: int):
-    """Stacks of random Bell-diagonal states, at most ``_ORACLE_STACK`` each.
+    """Coefficients of random Bell-diagonal states, ``(k, 4)`` stacks with
+    k at most ``_ORACLE_STACK``; the sample count is checked before any draw.
 
     numpy draws ``dirichlet(alpha, size=k)`` as k single draws in a row,
     so the states do not depend on the stack size.
     """
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
+    if samples > _ORACLE_SAMPLE_CAP:
+        raise ResourceCapError(
+            f"oracle capped at {_ORACLE_SAMPLE_CAP} samples; "
+            "use fewer samples or several seeds"
+        )
     rng = np.random.default_rng(seed)
     for lo in range(0, samples, _ORACLE_STACK):
         draws = rng.dirichlet(np.ones(4), size=min(_ORACLE_STACK, samples - lo))
-        yield [BellDiagonalState(*row) for row in draws]
-
-
-def _max_abs_diff(x: tuple[float, ...], y: tuple[float, ...]) -> float:
-    return max(abs(u - v) for u, v in zip(x, y))
+        yield _coefficient_rows(draws)
 
 
 def verify_rotation_choice(
@@ -267,14 +306,13 @@ def verify_rotation_choice(
     reported, not raised.
     """
     worst = 0.0
-    for states in _random_states(samples, seed):
-        rotated = apply_rotation_pair(embed(states), angle_sign)
+    for coeffs in _random_states(samples, seed):
+        rotated = apply_rotation_pair(_embed(coeffs), angle_sign)
         try:
-            got = bell_coefficients(rotated)
+            got = _coefficient_rows(_bell_diagonal(rotated))
         except NotBellDiagonalError:
             return RotationReport(False, np.inf, angle_sign, samples)
-        for s, g in zip(states, got):
-            worst = max(worst, _max_abs_diff(g.as_tuple(), (s.a, s.d, s.c, s.b)))
+        worst = max(worst, np.abs(got - coeffs[:, [0, 3, 2, 1]]).max())
     return RotationReport(worst < 1e-12, worst, angle_sign, samples)
 
 
@@ -304,8 +342,10 @@ def compare_with_closed_form(
 
     ``step_fn`` defaults to :func:`belldistil.bell_core.distill_step`; it is
     injectable so a deliberately corrupted map can serve as a negative
-    control.  The oracle steps ``_ORACLE_STACK`` states per call; the
-    closed form is called once per state.
+    control.  The closed form is called once per state, the oracle once per
+    stack of ``_ORACLE_STACK`` states, whose deviations are scanned as
+    arrays.  A failure branch reachable on one side only deviates by
+    infinity; the worst state is the first with the largest deviation.
     """
     from .bell_core import distill_step
 
@@ -313,20 +353,25 @@ def compare_with_closed_form(
         step_fn = distill_step
     dev_p = dev_s = dev_f = 0.0
     worst_state = (1.0, 0.0, 0.0, 0.0)
-    for states in _random_states(samples, seed):
-        closed = [step_fn(s) for s in states]
-        full = dejmps_step_full(embed(states))
-        success = bell_coefficients(full.success_m)
-        both = full.failure_reachable & np.array([c.failure_reachable for c in closed])
-        failure = iter(bell_coefficients(full.failure_m[both]))
-        for i, (s, c) in enumerate(zip(states, closed)):
-            dp = abs(full.p_success[i] - c.p_success)
-            ds = _max_abs_diff(success[i].as_tuple(), c.success_state.as_tuple())
-            if both[i]:
-                df = _max_abs_diff(next(failure).as_tuple(), c.failure_state.as_tuple())
-            else:
-                df = 0.0 if full.failure_reachable[i] == c.failure_reachable else np.inf
-            if max(dp, ds, df) > max(dev_p, dev_s, dev_f):
-                worst_state = s.as_tuple()
-            dev_p, dev_s, dev_f = max(dev_p, dp), max(dev_s, ds), max(dev_f, df)
+    for coeffs in _random_states(samples, seed):
+        closed = [step_fn(_state(row)) for row in coeffs.tolist()]
+        full = dejmps_step_full(_embed(coeffs))
+        dp = abs(full.p_success - np.array([c.p_success for c in closed]))
+        ds = _deviation(full.success_m, [c.success_state for c in closed])
+        reachable = np.array([c.failure_reachable for c in closed])
+        both = full.failure_reachable & reachable
+        df = np.where(full.failure_reachable == reachable, 0.0, np.inf)
+        df[both] = _deviation(full.failure_m[both],
+                              [c.failure_state for c, b in zip(closed, both) if b])
+        deviation = np.maximum(np.maximum(dp, ds), df)
+        i = int(np.argmax(deviation))
+        if deviation[i] > max(dev_p, dev_s, dev_f):
+            worst_state = tuple(coeffs[i])
+        dev_p, dev_s, dev_f = max(dev_p, dp.max()), max(dev_s, ds.max()), max(dev_f, df.max())
     return ComparisonReport(samples, dev_p, dev_s, dev_f, worst_state)
+
+
+def _deviation(m: np.ndarray, states: list[BellDiagonalState]) -> np.ndarray:
+    """Largest coefficient deviation of each oracle matrix from its state."""
+    closed = np.array([s.as_tuple() for s in states]).reshape(-1, 4)
+    return np.abs(_coefficient_rows(_bell_diagonal(m)) - closed).max(axis=1)

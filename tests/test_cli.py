@@ -10,7 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from belldistil import ResourceCapError, expected_fidelity_exact, iterative_scheme, werner
+from belldistil import (
+    FallbackAboveTargetError,
+    NotDistillableError,
+    ResourceCapError,
+    UnsuccessfulConvention,
+    expected_fidelity_exact,
+    iterative_scheme,
+    n_min,
+    oracle,
+    round_up_even,
+    werner,
+)
 from belldistil.cli import _GRID_POINT_CAP, _POLICIES, _a_grid, _fmt, main
 
 
@@ -221,7 +232,6 @@ class TestVerifyOracle:
         assert out1 == out2
 
     def test_negative_control_exits_one(self, capsys, monkeypatch):
-        import belldistil.cli as cli
         from belldistil.oracle import compare_with_closed_form
         from belldistil.bell_core import StepOutcome, distill_step
 
@@ -233,7 +243,7 @@ class TestVerifyOracle:
                                    out.failure_reachable)
             return compare_with_closed_form(samples, seed, step_fn=bad_step)
 
-        monkeypatch.setattr(cli, "compare_with_closed_form", corrupted_comparison)
+        monkeypatch.setattr(oracle, "compare_with_closed_form", corrupted_comparison)
         code, out, _ = run(capsys, "verify-oracle", "--samples", "20")
         assert code == 1
         assert "FAIL" in out
@@ -246,6 +256,9 @@ _CAP_ERROR = (
 )
 _GRID_CAP_ERROR = (
     "error: grid capped at 100000 points; use a larger step or a narrower range\n"
+)
+_ORACLE_CAP_ERROR = (
+    "error: oracle capped at 1000000 samples; use fewer samples or several seeds\n"
 )
 
 #: (argv, SHA-256 of stdout or of the ``--out`` file, exact stderr, exit code).
@@ -305,6 +318,11 @@ PINNED = {
     "verify_oracle": (
         ["verify-oracle", "--samples", "30", "--seed", "5"],
         "2caa610303f96b64821597b3f304b637abfa80971ad3bed4d31d60f8a07f7e3f", "", 0),
+    "verify_oracle_sample_cap": (
+        ["verify-oracle", "--samples", "1000001"], _EMPTY, _ORACLE_CAP_ERROR, 3),
+    "verify_oracle_no_samples": (
+        ["verify-oracle", "--samples", "0"], _EMPTY,
+        "error: sample count must be >= 1, got 0\n", 2),
     "fig3_cap": (
         ["fig3", "--n-list", "4097", "--start", "0.7", "--stop", "0.75", "--step", "0.05"],
         _EMPTY, _CAP_ERROR, 3),
@@ -453,6 +471,34 @@ def test_exact_work_cap_exits_before_any_table(capsys, monkeypatch):
     assert (code, out, err) == (3, "", (
         "error: exact expectation capped at states * n**2 = 80000000000; "
         "use fewer states or fewer pairs\n"))
+
+
+@pytest.mark.parametrize("samples", ["1000001", "100000000", str(10**30)])
+def test_oracle_sample_cap_exits_before_any_draw(samples, capsys, monkeypatch):
+    monkeypatch.setattr(oracle.np.random, "default_rng", None)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-oracle", "--samples", samples)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (3, "", _ORACLE_CAP_ERROR)
+
+
+def test_nmin_rows_match_n_min_and_round_up_even(capsys):
+    grid = _a_grid(0.45, 1.0, 0.0005)
+    code, out, _ = run(capsys, "nmin", "--start", "0.45", "--stop", "1", "--step", "0.0005")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert code == 0 and [row[0] for row in rows] == [_fmt(a) for a in grid]
+    convs = [UnsuccessfulConvention.LOCC_FLOOR, UnsuccessfulConvention.CONDITIONAL]
+    empty = 0
+    for a, row in zip(grid, rows):
+        for conv, cells in zip(convs, (row[1:3], row[3:])):
+            try:
+                value = n_min(werner(a), conv)
+            except (NotDistillableError, FallbackAboveTargetError):
+                empty += 1
+                assert cells == ["", ""]
+            else:
+                assert cells == [_fmt(value), str(round_up_even(value))]
+    assert 0 < empty < len(rows)
 
 
 def test_pinned_rows_and_benchmark_ops_stay_under_the_work_cap(capsys, monkeypatch,

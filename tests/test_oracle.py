@@ -1,11 +1,13 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from belldistil import BellDiagonalState, NotBellDiagonalError, distill_step, werner
 from belldistil import oracle
+from belldistil.bell_core import StepOutcome
 from belldistil.oracle import (
     BELL_BASIS,
     ComparisonReport,
@@ -403,3 +405,98 @@ class TestStacks:
                 tracemalloc.stop()
         assert peaks[1] < 2**20
         assert peaks[1] < 1.5 * peaks[0]
+
+
+def reference_branch(rho, proj):
+    """The projector form that ``oracle._branch`` replaced: conditioned state
+    ``proj @ rho @ proj``, its trace, and a partial trace of the 5-D view."""
+    conditioned = proj @ rho @ proj
+    weight = np.trace(conditioned, axis1=1, axis2=2).real
+    reachable = weight >= oracle.UNREACHABLE_TRACE_ATOL
+    reduced = conditioned.reshape(-1, 4, 4, 4, 4).trace(axis1=2, axis2=4)
+    reduced /= np.where(reachable, weight, 1.0)[:, None, None]
+    reduced[~reachable] = embed(BellDiagonalState(0.5, 0.5, 0.0, 0.0))
+    return weight, reduced, reachable
+
+
+class TestSlicedBranch:
+    @pytest.mark.parametrize("seed", range(24))
+    @pytest.mark.parametrize("k", [1, 16])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_the_projector_form_bytewise(self, seed, k, sign):
+        states = _random_stack(100 + seed, k)
+        if seed % 3 == 0:  # failure unreachable in some rows
+            states[0] = BellDiagonalState(1, 0, 0, 0)
+            states[k // 2] = BellDiagonalState(1, 0, 0, 0)
+        gate = oracle._step_gate(sign)
+        rho = gate @ oracle._kron_with_itself(embed(states)) @ gate.conj().T
+        for proj in oracle._measurement_projectors():
+            got = oracle._branch(rho, proj)
+            want = reference_branch(rho, proj)
+            assert [x.dtype for x in got] == [x.dtype for x in want]
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        if seed % 3 == 0:  # the failure branch is the second
+            assert (~got[2]).sum() == len({0, k // 2})
+
+
+def _counting_step(change):
+    """``distill_step`` that records each state and lets ``change`` edit the
+    outcome of call i; returns the step and the list of states seen."""
+    seen = []
+
+    def step(s):
+        seen.append(s.as_tuple())
+        return change(len(seen) - 1, distill_step(s))
+
+    return step, seen
+
+
+def _oracle_step(s):
+    """The oracle's own step on one state, as a closed-form outcome."""
+    full = dejmps_step_full(embed(s))
+    return StepOutcome(full.p_success, bell_coefficients(full.success_m),
+                       bell_coefficients(full.failure_m), full.failure_reachable)
+
+
+class TestDeviationScan:
+    """What the per-sample loop did, pinned before the scan replaced it."""
+
+    @pytest.mark.parametrize("tied", [(3, 9), (3, 20), (17, 40)])
+    def test_tie_at_the_maximum_keeps_the_earlier_state(self, tied):
+        def change(i, out):
+            return replace(out, p_success=1e300) if i in tied else out
+
+        step, seen = _counting_step(change)
+        report = compare_with_closed_form(48, 7, step_fn=step)
+        assert len(seen) == 48
+        assert report.max_p_deviation == 1e300
+        assert report.worst_state == seen[tied[0]]
+        assert [type(x) for x in report.worst_state] == [np.float64] * 4
+
+    def test_flipped_reachability_is_infinite(self):
+        step, seen = _counting_step(
+            lambda i, out: replace(out, failure_reachable=not out.failure_reachable)
+            if i == 21 else out)
+        report = compare_with_closed_form(40, 2, step_fn=step)
+        assert report.max_failure_deviation == np.inf
+        assert report.worst_state == seen[21]
+        assert report.max_p_deviation < 1e-14 and report.max_success_deviation < 1e-14
+
+    def test_flipped_reachability_exits_one(self, capsys, monkeypatch):
+        from belldistil import cli
+
+        step, _ = _counting_step(
+            lambda i, out: replace(out, failure_reachable=not out.failure_reachable)
+            if i == 5 else out)
+        monkeypatch.setattr(oracle, "compare_with_closed_form",
+                            lambda samples, seed: compare_with_closed_form(
+                                samples, seed, step_fn=step))
+        assert cli.main(["verify-oracle", "--samples", "20"]) == 1
+        out = capsys.readouterr().out
+        assert "max failure deviation inf\n" in out
+        assert "verdict               FAIL (worst state (np.float64(" in out
+
+    def test_zero_deviation_keeps_the_default_worst_state(self):
+        report = compare_with_closed_form(40, 3, step_fn=_oracle_step)
+        assert report.max_deviation == 0.0
+        assert report.worst_state == (1.0, 0.0, 0.0, 0.0)
