@@ -16,10 +16,10 @@
  * touched.  The loop releases the GIL, so callers may split the trial axis
  * across threads.
  *
- * ``binomial_rows`` runs the survivor averaging of ``_exact_table`` in place
- * on the table's flattened columns, with the products and sums of the numpy
- * loop that the tests keep as its reference, so every exact value keeps its
- * bits.
+ * ``binomial_rows`` runs the survivor averaging of ``_exact_table`` in place,
+ * one state's contiguous (row, slot) table after another, with the products
+ * and sums of the numpy loop that the tests keep as its reference, so every
+ * exact value keeps its bits.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -319,41 +319,39 @@ simulate_philox(PyObject *self, PyObject *args, PyObject *kwargs)
                stop_at_two, failure_fidelity, out_obj, failed_obj);
 }
 
-/* ``steps`` binomial averaging steps in place on the ``rows`` x ``m`` table
- * ``w`` whose column c belongs to state c % k; row 0 of step s goes to row
- * s - 1 of ``after``.  Each element is two products and their sum, in the
- * order of the numpy loop it replaces; setup.py turns off FMA contraction,
- * which would round them once. */
+/* ``steps`` binomial averaging steps in place on one state's ``rows`` x ``m``
+ * table ``w``; row 0 of step s goes to row s - 1 of ``after``.  Each element
+ * is two products and their sum, in the order of the numpy loop it replaces;
+ * setup.py turns off FMA contraction, which would round them once. */
 static void
-binomial_steps(double *restrict w, Py_ssize_t rows, Py_ssize_t m,
-               const double *restrict p, const double *restrict q,
-               Py_ssize_t k, double *restrict after, Py_ssize_t steps)
+binomial_steps(double *restrict w, Py_ssize_t rows, Py_ssize_t m, double p,
+               double *restrict after, Py_ssize_t steps)
 {
-    Py_ssize_t step, end, i, j;
+    const double q = 1.0 - p;
+    Py_ssize_t step, end, i;
 
     for (step = 1; step <= steps; step++) {
         end = (rows - step) * m;
-        if (k == 1) {
-            const double p0 = p[0], q0 = q[0];
-
-            for (i = 0; i < end; i++)
-                w[i] = q0 * w[i] + p0 * w[i + m];
-        }
-        else
-            /* slot-major: the state index runs innermost, with no modulo */
-            for (i = 0; i < end; i += k)
-                for (j = 0; j < k; j++)
-                    w[i + j] = q[j] * w[i + j] + p[j] * w[i + j + m];
+        for (i = 0; i < end; i++)
+            w[i] = q * w[i] + p * w[i + m];
         memcpy(after + (step - 1) * m, w, (size_t)m * sizeof *w);
     }
+}
+
+/* Whether the buffers of ``a`` and ``b`` share a byte. */
+static int
+overlap(const Py_buffer *a, const Py_buffer *b)
+{
+    return (char *)a->buf < (char *)b->buf + b->len
+           && (char *)b->buf < (char *)a->buf + a->len;
 }
 
 PyDoc_STRVAR(binomial_rows_doc,
 "binomial_rows(w, p, after)\n"
 "--\n\n"
-"For s = 1 .. len(after), set ``w[i] = (1 - p) * w[i] + p * w[i + 1]`` for\n"
-"the first len(w) - s rows and copy row 0 to ``after[s - 1]``.  Column c of\n"
-"``w`` and ``after`` belongs to state c % len(p).");
+"For each state j and s = 1 .. after.shape[1], set\n"
+"``w[j, i] = (1 - p[j]) * w[j, i] + p[j] * w[j, i + 1]`` for the first\n"
+"w.shape[1] - s rows and copy row 0 of ``w[j]`` to ``after[j, s - 1]``.");
 
 static PyObject *
 binomial_rows(PyObject *self, PyObject *args, PyObject *kwargs)
@@ -361,51 +359,44 @@ binomial_rows(PyObject *self, PyObject *args, PyObject *kwargs)
     static char *keywords[] = {"w", "p", "after", NULL};
     PyObject *w_obj, *p_obj, *after_obj, *result = NULL;
     Py_buffer w, p, after;
-    Py_ssize_t rows, m, k, j;
-    double *pq;
+    Py_ssize_t k, rows, m, steps, j;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:binomial_rows",
                                      keywords, &w_obj, &p_obj, &after_obj))
         return NULL;
-    if (get_array(w_obj, &w, "w", 2, "d", 1) < 0)
+    if (get_array(w_obj, &w, "w", 3, "d", 1) < 0)
         return NULL;
     if (get_array(p_obj, &p, "p", 1, "d", 0) < 0)
         goto release_w;
-    if (get_array(after_obj, &after, "after", 2, "d", 1) < 0)
+    if (get_array(after_obj, &after, "after", 3, "d", 1) < 0)
         goto release_p;
 
-    rows = w.shape[0];
-    m = w.shape[1];
-    k = p.shape[0];
-    if (after.shape[1] != m)
+    k = w.shape[0];
+    rows = w.shape[1];
+    m = w.shape[2];
+    steps = after.shape[1];
+    if (p.shape[0] != k || after.shape[0] != k)
         PyErr_Format(PyExc_ValueError,
-                     "w and after need the same columns, got %zd and %zd",
-                     m, after.shape[1]);
-    else if (after.shape[0] >= rows)
+                     "w, p and after need the same states, got %zd, %zd and %zd",
+                     k, p.shape[0], after.shape[0]);
+    else if (after.shape[2] != m)
+        PyErr_Format(PyExc_ValueError,
+                     "w and after need the same slots, got %zd and %zd",
+                     m, after.shape[2]);
+    else if (steps >= rows)
         PyErr_Format(PyExc_ValueError,
                      "after needs fewer rows than w, got %zd and %zd",
-                     after.shape[0], rows);
-    else if (k == 0 ? m != 0 : m % k != 0)
-        PyErr_Format(PyExc_ValueError,
-                     "%zd columns are not a whole number of slots of %zd states",
-                     m, k);
-    else if ((char *)w.buf < (char *)after.buf + after.len
-             && (char *)after.buf < (char *)w.buf + w.len)
-        PyErr_SetString(PyExc_ValueError, "w and after overlap");
-    /* private copies of p and 1 - p, which no write to w can change */
-    else if ((pq = PyMem_Malloc(2 * (size_t)k * sizeof *pq)) == NULL)
-        PyErr_NoMemory();
+                     steps, rows);
+    else if (overlap(&w, &after) || overlap(&p, &w) || overlap(&p, &after))
+        PyErr_SetString(PyExc_ValueError, "w, p and after must not overlap");
     else {
         const double *ps = p.buf;
 
-        for (j = 0; j < k; j++) {
-            pq[j] = ps[j];
-            pq[k + j] = 1.0 - ps[j];
-        }
         Py_BEGIN_ALLOW_THREADS
-        binomial_steps(w.buf, rows, m, pq, pq + k, k, after.buf, after.shape[0]);
+        for (j = 0; j < k; j++)
+            binomial_steps((double *)w.buf + j * rows * m, rows, m, ps[j],
+                           (double *)after.buf + j * steps * m, steps);
         Py_END_ALLOW_THREADS
-        PyMem_Free(pq);
         result = Py_NewRef(Py_None);
     }
 

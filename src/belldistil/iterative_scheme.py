@@ -151,42 +151,40 @@ def _exact_table(
     """Exact expectation for every starting count 0 .. n, by backward
     induction over depth on depth tables that reach at least depth_cap(n).
 
-    ``value[live, slot]`` is one minus the expectation on entering a depth
-    with ``live`` pairs; slot 0 means no backup and slot k + 1 a backup
+    ``value[..., live, slot]`` is one minus the expectation on entering a
+    depth with ``live`` pairs; slot 0 means no backup and slot k + 1 a backup
     stored at depth k, so the table at depth d has d + 1 slots.  Averaging
     the small infidelity instead of the fidelity keeps the rounding of the
     branch averages relative to it.  The average over Binomial(m, p)
     survivors is row 0 of ``(q + p * shift)**m`` applied to the deeper
     table; the compiled ``_kernels.binomial_rows`` takes those steps in
     place, and the tests keep the numpy loop it replaced as its reference.
-    Depth tables with a trailing state axis give the table that axis too;
-    every operation is elementwise along it.
+    A trailing state axis of the depth tables leads here, so each state's
+    table is contiguous; every operation is elementwise along it.
     """
-    loss = 1.0 - fid
-    states = loss.shape[1:]
+    loss = (1.0 - fid).T
+    states = loss.shape[:-1]
     value = None
     for depth in reversed(range(depth_cap(n) + 1)):
         top = n >> depth
-        deeper, value = value, np.empty((top + 1, depth + 1) + states)
-        value[0, 0] = 1.0 - policy.failure_fidelity
-        value[0, 1:] = loss[:depth]
-        value[1] = loss[depth]
+        deeper, value = value, np.empty(states + (top + 1, depth + 1))
+        value[..., 0, 0] = 1.0 - policy.failure_fidelity
+        value[..., 0, 1:] = loss[..., :depth]
+        value[..., 1, :] = loss[..., depth, None]
         if top >= 2:
-            # after[k - 1] averages the deeper table over the survivors of k steps
-            after = np.empty((top // 2, depth + 2) + states)
-            columns = after[0].size
-            _kernels.binomial_rows(deeper.reshape(len(deeper), columns),
+            # after[..., k - 1, :] averages the deeper table over k steps' survivors
+            after = np.empty(states + (top // 2, depth + 2))
+            _kernels.binomial_rows(deeper.reshape(-1, *deeper.shape[-2:]),
                                    np.reshape(psucc[depth], -1),
-                                   after.reshape(len(after), columns))
-            value[2::2] = after[:, : depth + 1]
+                                   after.reshape(-1, *after.shape[-2:]))
+            value[..., 2::2, :] = after[..., : depth + 1]
             # an odd count stores one pair at this depth, replacing any older backup
-            odd = after[: (top - 1) // 2]
-            value[3::2] = (
-                odd[:, depth + 1 :] if policy.backup_enabled else odd[:, : depth + 1]
-            )
+            odd = after[..., : (top - 1) // 2, :]
+            value[..., 3::2, :] = (odd[..., depth + 1 :] if policy.backup_enabled
+                                   else odd[..., : depth + 1])
             if policy.stop_at_two_without_backup:
-                value[2, 0] = loss[depth]
-    return 1.0 - value[:, 0]
+                value[..., 2, 0] = loss[..., depth]
+    return 1.0 - value[..., 0]
 
 
 def expected_fidelity_exact(
@@ -332,7 +330,7 @@ def sweep_over_n(
         # dropping a pair can lower depth_cap, so the depth table follows the raw count
         fid, psucc = _depth_tables(chunk, top_n)
         table = _exact_table(fid, psucc, top_m, policy)
-        parts.append((table[[m for _, m in counts]],
+        parts.append((table[..., [m for _, m in counts]].T,
                       fid[[depth_cap(n) for n, _ in counts]]))
     values, references = (np.concatenate(x, axis=-1).tolist() for x in zip(*parts))
     return [(n, v, r) for (n, _), v, r in zip(counts, values, references)]

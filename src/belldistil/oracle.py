@@ -40,6 +40,9 @@ _ORACLE_SAMPLE_CAP = 1_000_000
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
+#: 1 off the diagonal of a 4x4 matrix and 0 on it.
+_OFF_DIAGONAL = 1.0 - np.eye(4)
+
 #: Bell vectors as rows, in the global coefficient order (Phi+, Psi-, Psi+, Phi-).
 BELL_BASIS = np.array(
     [
@@ -106,14 +109,15 @@ def _bell_diagonal(m: np.ndarray) -> np.ndarray:
     :func:`bell_coefficients`."""
     in_bell = _bell_basis_conj() @ _stacked(m) @ BELL_BASIS.T
     diag = np.diagonal(in_bell, axis1=1, axis2=2)
-    off = in_bell.copy()
-    # x - x rather than 0: a NaN coefficient passes here and the state rejects it
-    off[:, range(4), range(4)] = diag - diag
-    i = _first(np.abs(off).max(axis=(1, 2)) > BELL_OFFDIAG_ATOL)
+    # a NaN or infinite diagonal element gives NaN, not 0: the coefficient
+    # passes here and the state rejects it
+    off = np.abs(in_bell)
+    off *= _OFF_DIAGONAL
+    i = _first(off.max(axis=(1, 2)) > BELL_OFFDIAG_ATOL)
     if i is not None:
-        worst = np.unravel_index(np.argmax(np.abs(off[i])), (4, 4))
+        worst = np.unravel_index(np.argmax(off[i]), (4, 4))
         raise NotBellDiagonalError(
-            f"off-diagonal Bell element {off[i][worst]!r} at {worst} "
+            f"off-diagonal Bell element {in_bell[i][worst]!r} at {worst} "
             f"exceeds {BELL_OFFDIAG_ATOL}"
         )
     residue = np.abs(diag.imag).max(axis=1)
@@ -366,7 +370,7 @@ def compare_with_closed_form(
         deviation = np.maximum(np.maximum(dp, ds), df)
         i = int(np.argmax(deviation))
         if deviation[i] > max(dev_p, dev_s, dev_f):
-            worst_state = tuple(coeffs[i])
+            worst_state = tuple(coeffs[i].tolist())
         dev_p, dev_s, dev_f = max(dev_p, dp.max()), max(dev_s, ds.max()), max(dev_f, df.max())
     return ComparisonReport(samples, dev_p, dev_s, dev_f, worst_state)
 

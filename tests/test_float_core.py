@@ -85,15 +85,16 @@ def public_n_min(s, conv):
 
 
 def reference_binomial_rows(w, p, after):
-    """The numpy loop that ``_kernels.binomial_rows`` replaced: ``after[k - 1]``
-    is row 0 of ``w`` after k averaging steps.  Returns the last ``w``; the
-    caller's ``w`` is left as it is."""
-    # column c belongs to state c % len(p)
-    p = np.resize(p, w.shape[1])
-    for row in after:
-        w = (1.0 - p) * w[:-1] + p * w[1:]
-        row[:] = w[0]
-    return w
+    """The numpy loop that ``_kernels.binomial_rows`` replaced, once per
+    state j: ``after[j, k - 1]`` is row 0 of ``w[j]`` after k averaging
+    steps.  Returns the last ``w``; the caller's ``w`` is left as it is."""
+    last = []
+    for w_j, p_j, after_j in zip(w, p, after):
+        for row in after_j:
+            w_j = (1.0 - p_j) * w_j[:-1] + p_j * w_j[1:]
+            row[:] = w_j[0]
+        last.append(w_j)
+    return np.array(last)
 
 
 def outcome(fn, *args):
@@ -213,10 +214,10 @@ def test_stack_raises_the_first_failing_states_message(first, later):
 
 
 def binomial_case(rows, slots, p, steps):
-    """A random ``rows`` x (``slots`` * len(p)) table and the ``after`` rows
-    of ``steps`` steps."""
-    w = np.random.default_rng(rows * slots + len(p)).random((rows, slots * len(p)))
-    return w, np.asarray(p, dtype=float), np.empty((steps, w.shape[1]))
+    """A random ``rows`` x ``slots`` table per state of ``p`` and the
+    ``after`` rows of ``steps`` steps."""
+    w = np.random.default_rng(rows * slots + len(p)).random((len(p), rows, slots))
+    return w, np.asarray(p, dtype=float), np.empty((len(p), steps, slots))
 
 
 def random_p(k):
@@ -243,7 +244,7 @@ def test_binomial_rows_matches_the_numpy_loop(rows, slots, p, steps):
     want_w = reference_binomial_rows(w.copy(), p, want_after)
     _kernels.binomial_rows(w, p, after)
     assert after.tolist() == want_after.tolist()
-    assert w[: rows - steps].tolist() == want_w.tolist()
+    assert w[:, : rows - steps].tolist() == want_w.tolist()
 
 
 def test_exact_table_matches_the_numpy_loop(monkeypatch):
@@ -262,27 +263,32 @@ def test_exact_table_matches_the_numpy_loop(monkeypatch):
 
 def test_binomial_rows_rejects_bad_buffers():
     rows, steps, p = 9, 8, random_p(4)
-    # w and after are views between sentinel rows, so a stray write shows
-    w_base = np.random.default_rng(0).random((rows + 2, 2 * len(p)))
-    after_base = np.full((steps + 2, 2 * len(p)), -1.0)
+    # w and after are views between sentinel states, so a stray write shows
+    w_base = np.random.default_rng(0).random((len(p) + 2, rows, 2))
+    after_base = np.full((len(p) + 2, steps, 2), -1.0)
     w, after = w_base[1:-1], after_base[1:-1]
     w_before = w_base.copy()
     read_only = w.copy()
     read_only.flags.writeable = False
+    read_only_after = np.empty(after.shape)
+    read_only_after.flags.writeable = False
     bad = {
         "float32 w": dict(w=w.astype(np.float32)),
         "int64 p": dict(p=np.ones(4, dtype=np.int64)),
         "1-d w": dict(w=w.ravel()),
         "2-d p": dict(p=p[None]),
-        "non-contiguous w": dict(w=np.repeat(w, 2, axis=1)[:, ::2]),
-        "non-contiguous after": dict(after=np.repeat(after, 2, axis=1)[:, ::2]),
+        "non-contiguous w": dict(w=np.repeat(w, 2, axis=2)[..., ::2]),
+        "non-contiguous after": dict(after=np.repeat(after, 2, axis=2)[..., ::2]),
         "read-only w": dict(w=read_only),
-        "read-only after": dict(after=read_only[:-1]),
+        "read-only after": dict(after=read_only_after),
         "after as long as w": dict(after=np.empty(w.shape)),
-        "after overlapping w": dict(after=w[1:]),
-        "after with other columns": dict(after=np.empty((steps, w.shape[1] - 4))),
-        "columns not a whole number of slots": dict(p=p[:3].copy()),
-        "columns with no states": dict(p=np.empty(0)),
+        "after overlapping w": dict(after=w.reshape(-1)[2 : 2 + after.size]
+                                    .reshape(after.shape)),
+        "after with other slots": dict(after=np.empty((len(p), steps, 1))),
+        "p with another state count": dict(p=p[:3].copy()),
+        "after with another state count": dict(after=np.empty((3, steps, 2))),
+        "p overlapping w": dict(p=w.reshape(-1)[1 : 1 + len(p)]),
+        "p overlapping after": dict(p=after.reshape(-1)[1 : 1 + len(p)]),
     }
     for name, override in bad.items():
         args = dict(w=w, p=p, after=after)

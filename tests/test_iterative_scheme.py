@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import subprocess
@@ -23,6 +24,7 @@ from belldistil import (
     werner,
 )
 from belldistil import _trajectory_py
+from belldistil.cli import _a_grid, _werner_stack
 from belldistil._kernels import simulate, simulate_philox
 from belldistil.iterative_scheme import (
     MC_TRIALS_CAP,
@@ -505,3 +507,39 @@ class TestSweeps:
         rows = sweep_over_n(WERNER_075, range(3, 21), BACKUP)
         for _, value, reference in rows:
             assert reference >= value - 1e-12
+
+
+#: SHA-256 over ``float.hex`` of the 50,460 values and references of
+#: ``exact_pin_sweeps``, one per line; taken before the exact table's state
+#: axis moved to the front.
+EXACT_SHA256 = "31f42a96952a5f693ab98a5e3707858bed6e6cbde587bc0965510daf8d6aaf0b"
+
+
+def exact_pin_sweeps():
+    """Sweeps over every policy shape: single Werner states up to the cap,
+    the ``fig3`` grid and 40 random states at small counts and at 700, and
+    30 Werner states at the cap."""
+    counts = list(range(1, 300)) + [512, 1000, 1023, 1024, 2047, 2048, 3001, 4095, 4096]
+    grid = _werner_stack(_a_grid(0.505, 0.995, 0.002))
+    spread = _werner_stack(_a_grid(0.55, 0.95, 0.4 / 29))
+    rand = np.random.default_rng(16).dirichlet(np.ones(4), size=40).T
+    for policy in (BACKUP, NO_BACKUP, DROP_ONE,
+                   IterationPolicy(stop_at_two_without_backup=False),
+                   IterationPolicy(failure_fidelity=0.37)):
+        for a0 in (0.3, 0.51, 0.55, 0.6, 0.75, 0.9, 0.99):
+            yield sweep_over_n(werner(a0), counts, policy)
+        for stacked in (grid, rand):
+            yield sweep_over_n(stacked, [1, 2, 3, 4, 5, 6, 12, 33, 128], policy)
+            yield sweep_over_n(stacked, [700], policy)
+        yield sweep_over_n(spread, [4096], policy)
+
+
+def test_exact_outputs_keep_their_bits():
+    digest, count = hashlib.sha256(), 0
+    for rows in exact_pin_sweeps():
+        for _, values, refs in rows:
+            for x in np.ravel([values, refs]).tolist():
+                digest.update(float.hex(x).encode() + b"\n")
+                count += 1
+    assert count == 50_460
+    assert digest.hexdigest() == EXACT_SHA256
