@@ -97,6 +97,16 @@ def _normalized(a, b, c, d):
     return (a / total, b / total, c / total, d / total)
 
 
+def _checked_stack(s) -> np.ndarray:
+    """A ``(4, k)`` coefficient stack, used as given once every column
+    passes the check of ``BellDiagonalState(*column)``."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 2 or len(s) != 4:
+        raise ValueError(f"expected a (4, k) coefficient stack, got shape {s.shape}")
+    _normalized(*s)
+    return s
+
+
 @dataclass(frozen=True)
 class BellDiagonalState:
     """Coefficients (a, b, c, d) of the Bell projectors (Phi+, Psi-, Psi+, Phi-).

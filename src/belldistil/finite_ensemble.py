@@ -15,6 +15,7 @@ import numpy as np
 
 from .bell_core import (
     BellDiagonalState,
+    _checked_stack,
     _failure_coeffs,
     _success_coeffs,
     _success_weight,
@@ -132,9 +133,10 @@ def n_min(
     cannot gain fidelity (a <= 1/2) and :class:`FallbackAboveTargetError`
     when F_u already meets the target fidelity.
 
-    For a ``(4, k)`` coefficient stack the maps run once over all k states
-    and the result is a list with one value per state, None where the call
-    on that state alone would raise one of those two errors.
+    For a ``(4, k)`` coefficient stack, checked first and used as given,
+    the maps run once over all k states and the result is a list with one
+    value per state, None where the call on that state alone would raise
+    one of those two errors.
     """
     if isinstance(s, BellDiagonalState):
         a, (f_s, f_u, fail) = s.a, _n_min_terms(s.as_tuple(), conv)
@@ -147,6 +149,7 @@ def n_min(
                 f"fallback fidelity {f_u!r} already >= target {a!r}"
             )
         return _n_min(a, f_s, f_u, fail)
+    s = _checked_stack(s)
     a, f_s, f_u, fail = np.broadcast_arrays(s[0], *_n_min_terms(s, conv))
     # the states that the float call rejects, by its own comparisons
     keep = ~((a <= 0.5) | (f_s <= a) | (f_u >= a))

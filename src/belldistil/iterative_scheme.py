@@ -39,6 +39,7 @@ import numpy as np
 from . import _kernels
 from .bell_core import (
     BellDiagonalState,
+    _checked_stack,
     _success_coeffs,
     _success_weight,
     iterate_map,
@@ -209,14 +210,15 @@ def expected_fidelity_mc(
     validates the seed), so results are bit-identical for a given
     (seed, trials, n, s0, policy) regardless of worker count or execution
     order; aggregation is exact summation over the trial-ordered results.
-    The trials are split into ``workers`` contiguous chunks.  The compiled
-    kernel computes each uniform from its stream index when a trajectory
-    reads it, so no uniform buffer grows with n or the trial count; the
-    per-trial results do, so more than ``MC_TRIALS_CAP`` trials raise
-    :class:`ResourceCapError`, and a stream index past 64 bits ``ValueError``,
-    before anything is allocated.  The work grows with trials * n, so
-    more than ``MC_WORK_CAP`` raises :class:`ResourceCapError` after the
-    depth tables (a few dozen entries) and before the results are allocated.
+    The trials are split into ``min(workers, trials)`` contiguous chunks.
+    The compiled kernel computes each uniform from its stream index when a
+    trajectory reads it, so no uniform buffer grows with n or the trial
+    count; the per-trial results do, so more than ``MC_TRIALS_CAP`` trials
+    raise :class:`ResourceCapError`, and a stream index past 64 bits
+    ``ValueError``, before anything is allocated.  The work grows with
+    trials * n, so more than ``MC_WORK_CAP`` raises :class:`ResourceCapError`
+    after the depth tables (a few dozen entries) and before the results are
+    allocated.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
@@ -255,6 +257,7 @@ def expected_fidelity_mc(
             failed[lo:hi],
         )
 
+    workers = min(workers, trials)
     if workers <= 1:
         run_chunk(0, trials)
     else:
@@ -308,8 +311,10 @@ def sweep_over_n(
     table's memory.  The work grows with states * n**2 for the largest
     effective count n, so more than ``_EXACT_WORK_CAP`` raises
     :class:`ResourceCapError` after the counts are checked and before any
-    table is built.
+    table is built.  A stack is checked first, as a state is when it is
+    built, and its columns are used as given.
     """
+    s0 = s0 if isinstance(s0, BellDiagonalState) else _checked_stack(s0)
     counts = _exact_counts(n_range, policy)
     if not counts:
         return []

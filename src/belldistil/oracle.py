@@ -5,9 +5,11 @@ full protocol step: local pre-rotations on all four qubits, bilateral
 CNOTs, projective measurement of the target pair, and post-selection.  The
 recovered success probability and branch states must reproduce the
 coefficient maps of :mod:`belldistil.bell_core` exactly; nothing in this
-module reuses those maps.  A branch is sliced out of the 16x16 matrix by
-the kept outcomes.  The randomized checks call the closed form once per
-state and the oracle once per stack of states, and scan deviations per stack.
+module reuses those maps.  The pre-rotation has one convention, the one
+those maps encode: Alice rotates by +pi/2 about x and Bob by -pi/2.  A
+branch is sliced out of the 16x16 matrix by the kept outcomes.  The
+randomized checks call the closed form once per state and the oracle once
+per stack of states, and scan deviations per stack.
 
 Qubit ordering in the 16-dimensional space is (1_A, 1_B, 2_A, 2_B); each
 pair is Alice-major (A, B) with computational basis order 00, 01, 10, 11.
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -38,13 +39,22 @@ _ORACLE_STACK = 16
 #: Most samples a randomized check may draw: about a minute of the oracle.
 _ORACLE_SAMPLE_CAP = 1_000_000
 
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
+# The matrices that do not depend on the state are built once, at import,
+# and shared read-only.
+
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 #: 1 off the diagonal of a 4x4 matrix and 0 on it.
-_OFF_DIAGONAL = 1.0 - np.eye(4)
+_OFF_DIAGONAL = _read_only(1.0 - np.eye(4))
 
 #: Bell vectors as rows, in the global coefficient order (Phi+, Psi-, Psi+, Phi-).
-BELL_BASIS = np.array(
+BELL_BASIS = _read_only(np.array(
     [
         [_SQRT_HALF, 0.0, 0.0, _SQRT_HALF],
         [0.0, _SQRT_HALF, -_SQRT_HALF, 0.0],
@@ -52,7 +62,8 @@ BELL_BASIS = np.array(
         [_SQRT_HALF, 0.0, 0.0, -_SQRT_HALF],
     ],
     dtype=complex,
-)
+))
+_BELL_BASIS_CONJ = _read_only(BELL_BASIS.conj())
 
 
 def _stacked(m: np.ndarray) -> np.ndarray:
@@ -68,12 +79,12 @@ def _first(failed: np.ndarray) -> int | None:
 def validate_density_matrix(m: np.ndarray) -> None:
     """Check Hermiticity, unit trace and positive semidefiniteness.
 
-    ``m`` is one 4x4 or 16x16 matrix or a stack of them along a leading
-    axis.  Each check runs over the whole stack, in the order above, and
-    reports the first sample that fails it.
+    ``m`` is one 4x4 matrix or a stack of them along a leading axis.  Each
+    check runs over the whole stack, in the order above, and reports the
+    first sample that fails it.
     """
-    if m.ndim not in (2, 3) or m.shape[-2:] not in {(4, 4), (16, 16)}:
-        raise ValueError(f"expected a 4x4 or 16x16 matrix, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {m.shape}")
     ms = _stacked(m)
     asymmetry = np.abs(ms - ms.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     if (asymmetry > HERMITIAN_ATOL).any():
@@ -99,7 +110,7 @@ def embed(s: BellDiagonalState | Sequence[BellDiagonalState]) -> np.ndarray:
 def _embed(coeffs: np.ndarray) -> np.ndarray:
     """The stack of :func:`embed` for a ``(k, 4)`` coefficient array."""
     m = np.zeros((len(coeffs), 4, 4), dtype=complex)
-    for coeff, vec, vec_conj in zip(coeffs.T, BELL_BASIS, _bell_basis_conj()):
+    for coeff, vec, vec_conj in zip(coeffs.T, BELL_BASIS, _BELL_BASIS_CONJ):
         m += coeff[:, np.newaxis, np.newaxis] * np.outer(vec, vec_conj)
     return m
 
@@ -107,7 +118,7 @@ def _embed(coeffs: np.ndarray) -> np.ndarray:
 def _bell_diagonal(m: np.ndarray) -> np.ndarray:
     """Real Bell-basis diagonals, ``(k, 4)``, after the checks of
     :func:`bell_coefficients`."""
-    in_bell = _bell_basis_conj() @ _stacked(m) @ BELL_BASIS.T
+    in_bell = _BELL_BASIS_CONJ @ _stacked(m) @ BELL_BASIS.T
     diag = np.diagonal(in_bell, axis1=1, axis2=2)
     # a NaN or infinite diagonal element gives NaN, not 0: the coefficient
     # passes here and the state rejects it
@@ -148,35 +159,10 @@ def _coefficient_rows(x: np.ndarray) -> np.ndarray:
     return np.stack(_normalized(*x.T), axis=1)
 
 
-def _read_only(m: np.ndarray) -> np.ndarray:
-    m.flags.writeable = False
-    return m
-
-
-# The matrices below do not depend on the state, so each is built on first
-# use and shared read-only.
-
-
-@cache
-def _bell_basis_conj() -> np.ndarray:
-    return _read_only(BELL_BASIS.conj())
-
-
-@cache
-def _locc_floor() -> np.ndarray:
-    """The LOCC floor (1/2, 1/2, 0, 0), reported by an unreachable branch."""
-    return _read_only(embed(BellDiagonalState(0.5, 0.5, 0.0, 0.0)))
-
-
-@cache
-def _pair_rotation(angle_sign: int) -> np.ndarray:
-    """Pair pre-rotation: x-rotation by +pi/2 * sign for Alice, the opposite for Bob."""
-    def rx(theta: float) -> np.ndarray:
-        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-    theta = angle_sign * np.pi / 2.0
-    return _read_only(np.kron(rx(theta), rx(-theta)))
+def _rx(theta: float) -> np.ndarray:
+    """Single-qubit rotation by ``theta`` about x."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
 def _cnot_16(control: int, target: int) -> np.ndarray:
@@ -190,22 +176,21 @@ def _cnot_16(control: int, target: int) -> np.ndarray:
     return gate
 
 
-@cache
-def _step_gate(angle_sign: int) -> np.ndarray:
-    """Pre-rotations on both pairs followed by the two bilateral CNOTs."""
-    u = _pair_rotation(angle_sign)
-    return _read_only(_cnot_16(0, 2) @ _cnot_16(1, 3) @ np.kron(u, u))
+#: The LOCC floor (1/2, 1/2, 0, 0), reported by an unreachable branch.
+_LOCC_FLOOR = _read_only(embed(BellDiagonalState(0.5, 0.5, 0.0, 0.0)))
 
+#: Pair pre-rotation: x-rotation by +pi/2 for Alice, by -pi/2 for Bob.
+_PAIR_ROTATION = _read_only(np.kron(_rx(np.pi / 2.0), _rx(-np.pi / 2.0)))
 
-@cache
-def _measurement_projectors() -> tuple[np.ndarray, np.ndarray]:
-    """Projectors onto equal/unequal computational outcomes of qubits 2_A, 2_B."""
-    equal = np.zeros((4, 4), dtype=complex)
-    unequal = np.zeros((4, 4), dtype=complex)
-    for b in range(4):
-        (equal if b in (0b00, 0b11) else unequal)[b, b] = 1.0
-    eye4 = np.eye(4, dtype=complex)
-    return _read_only(np.kron(eye4, equal)), _read_only(np.kron(eye4, unequal))
+#: Pre-rotations on both pairs followed by the two bilateral CNOTs.
+_STEP_GATE = _read_only(
+    _cnot_16(0, 2) @ _cnot_16(1, 3) @ np.kron(_PAIR_ROTATION, _PAIR_ROTATION)
+)
+
+#: Diagonals of the projectors onto equal (00, 11) and unequal (01, 10)
+#: outcomes of qubits 2_A, 2_B; complex, so that masking does not cast.
+_KEEP_EQUAL = _read_only(np.tile(np.array([1, 0, 0, 1], dtype=complex), 4))
+_KEEP_UNEQUAL = _read_only(np.tile(np.array([0, 1, 1, 0], dtype=complex), 4))
 
 
 @dataclass(frozen=True)
@@ -226,38 +211,34 @@ def _kron_with_itself(ms: np.ndarray) -> np.ndarray:
     return (ms[:, :, None, :, None] * ms[:, None, :, None, :]).reshape(-1, 16, 16)
 
 
-def _branch(rho: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, ...]:
+def _branch(rho: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, ...]:
     """Weight, normalized pair-1 state and reachability of one outcome.
 
-    ``proj`` keeps outcomes b0, b1 of qubits 2_A, 2_B: the weight sums the
-    kept diagonal of ``rho`` and the state its (b0, b0) and (b1, b1)
-    blocks, with the bits of ``proj @ rho @ proj`` and its partial trace.
+    ``keep`` is the diagonal of the projector ``proj`` onto outcomes b0, b1
+    of qubits 2_A, 2_B: the weight sums the kept diagonal of ``rho`` and the
+    state its (b0, b0) and (b1, b1) blocks, with the bits of
+    ``proj @ rho @ proj`` and its partial trace.
     """
-    keep = proj.diagonal()  # complex, so the product below does not cast
     weight = (rho.diagonal(axis1=1, axis2=2) * keep).sum(axis=1).real
     reachable = weight >= UNREACHABLE_TRACE_ATOL
     b0, b1 = np.flatnonzero(keep[:4])
     r4 = rho.reshape(-1, 4, 4, 4, 4)
     reduced = r4[:, :, b0, :, b0] + r4[:, :, b1, :, b1]
     reduced /= np.where(reachable, weight, 1.0)[:, None, None]
-    reduced[~reachable] = _locc_floor()
+    reduced[~reachable] = _LOCC_FLOOR
     return weight, reduced, reachable
 
 
-def dejmps_step_full(m: np.ndarray, angle_sign: int = 1) -> FullStepOutcome:
+def dejmps_step_full(m: np.ndarray) -> FullStepOutcome:
     """One full protocol step on two copies of the 4x4 state ``m``.
 
     ``m`` may also be a ``(k, 4, 4)`` stack; each sample is stepped on its
-    own and the outcome holds arrays over the stack.  ``angle_sign``
-    selects the rotation convention; either sign is admissible as long as
-    :func:`verify_rotation_choice` passes for it.
+    own and the outcome holds arrays over the stack.
     """
     validate_density_matrix(m)
-    ms = _stacked(m)
-    gate = _step_gate(angle_sign)
-    rho = gate @ _kron_with_itself(ms) @ gate.conj().T
+    rho = _STEP_GATE @ _kron_with_itself(_stacked(m)) @ _STEP_GATE.conj().T
     (p, success_m, _), (_, failure_m, failure_ok) = (
-        _branch(rho, proj) for proj in _measurement_projectors()
+        _branch(rho, keep) for keep in (_KEEP_EQUAL, _KEEP_UNEQUAL)
     )
     if m.ndim == 2:
         return FullStepOutcome(p[0], success_m[0], failure_m[0], failure_ok[0])
@@ -270,14 +251,12 @@ class RotationReport:
 
     passed: bool
     max_deviation: float
-    angle_sign: int
     samples: int
 
 
-def apply_rotation_pair(m: np.ndarray, angle_sign: int = 1) -> np.ndarray:
+def apply_rotation_pair(m: np.ndarray) -> np.ndarray:
     """The step pre-rotation acting on a 4x4 pair state or a stack of them."""
-    u = _pair_rotation(angle_sign)
-    return u @ m @ u.conj().T
+    return _PAIR_ROTATION @ m @ _PAIR_ROTATION.conj().T
 
 
 def _random_states(samples: int, seed: int):
@@ -300,9 +279,7 @@ def _random_states(samples: int, seed: int):
         yield _coefficient_rows(draws)
 
 
-def verify_rotation_choice(
-    samples: int = 1000, seed: int = 0, angle_sign: int = 1
-) -> RotationReport:
+def verify_rotation_choice(samples: int = 1000, seed: int = 0) -> RotationReport:
     """Check that the pre-rotation swaps the Psi- and Phi- coefficients.
 
     Applies the rotation pair to random Bell-diagonal states and compares
@@ -311,13 +288,13 @@ def verify_rotation_choice(
     """
     worst = 0.0
     for coeffs in _random_states(samples, seed):
-        rotated = apply_rotation_pair(_embed(coeffs), angle_sign)
+        rotated = apply_rotation_pair(_embed(coeffs))
         try:
             got = _coefficient_rows(_bell_diagonal(rotated))
         except NotBellDiagonalError:
-            return RotationReport(False, np.inf, angle_sign, samples)
+            return RotationReport(False, np.inf, samples)
         worst = max(worst, np.abs(got - coeffs[:, [0, 3, 2, 1]]).max())
-    return RotationReport(worst < 1e-12, worst, angle_sign, samples)
+    return RotationReport(worst < 1e-12, worst, samples)
 
 
 @dataclass(frozen=True)

@@ -213,6 +213,40 @@ def test_stack_raises_the_first_failing_states_message(first, later):
     assert str(exc.value) == scalar_error(first)
 
 
+@pytest.mark.parametrize("later", [(0.2, 0.8, 0.1, 0.0), (-1e-3, 0.5, 0.5, 0.0)])
+@pytest.mark.parametrize("first", [(1.0, 1.0, 0.0, 0.0), (1.5, 0.0, 0.0, -0.5),
+                                   (0.25, float("nan"), 0.25, 0.25),
+                                   (0.75, float("inf"), 0.0, 0.0)])
+def test_sweep_and_n_min_check_the_stack_first(first, later):
+    rows = [(0.75, 0.25, 0.0, 0.0)] * 8
+    rows[3], rows[5] = first, later
+    s0 = np.array(rows).T
+    for call in (lambda: sweep_over_n(s0, [5], BACKUP),
+                 lambda: sweep_over_n(s0, [0, 5000], BACKUP),  # before the counts
+                 lambda: n_min(s0, UnsuccessfulConvention.LOCC_FLOOR),
+                 lambda: n_min(s0, UnsuccessfulConvention.CONDITIONAL)):
+        with pytest.raises(InvalidStateError) as exc:
+            call()
+        assert str(exc.value) == scalar_error(first)
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (3, 2), (5, 1), (4, 2, 1), (1, 4)])
+def test_sweep_and_n_min_reject_other_shapes(shape):
+    s0 = np.full(shape, 0.25)
+    for call in (lambda: sweep_over_n(s0, [5], BACKUP),
+                 lambda: n_min(s0, UnsuccessfulConvention.CONDITIONAL)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"expected a (4, k) coefficient stack, got shape {shape}"
+
+
+def test_nested_lists_are_stacks():
+    s0 = _werner_stack([0.6, 0.75])
+    assert sweep_over_n(s0.tolist(), [5], BACKUP) == sweep_over_n(s0, [5], BACKUP)
+    assert n_min(s0.tolist(), UnsuccessfulConvention.LOCC_FLOOR) == n_min(
+        s0, UnsuccessfulConvention.LOCC_FLOOR)
+
+
 def binomial_case(rows, slots, p, steps):
     """A random ``rows`` x ``slots`` table per state of ``p`` and the
     ``after`` rows of ``steps`` steps."""

@@ -269,6 +269,37 @@ class TestExpectedFidelityMC:
         b = expected_fidelity_mc(9, WERNER_075, BACKUP, trials=50_000, seed=5, workers=4)
         assert a == b
 
+    @pytest.mark.parametrize("trials, workers, chunks", [
+        (3, 1000, [(0, 1), (1, 2), (2, 3)]),
+        (3, 2, [(0, 1), (1, 3)]),
+        (1, 8, None),  # one chunk runs without a pool
+    ])
+    def test_workers_are_capped_at_the_trials(self, monkeypatch, trials, workers, chunks):
+        import concurrent.futures
+
+        pools = []
+
+        class InlinePool:
+            """Records its size and chunks and runs them inline: no thread starts."""
+
+            def __init__(self, max_workers):
+                pools.append([max_workers])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *bounds):
+                pools[-1].append(list(zip(*bounds)))
+                return [fn(*b) for b in zip(*bounds)]
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+        got = expected_fidelity_mc(9, WERNER_075, BACKUP, trials, seed=5, workers=workers)
+        assert got == expected_fidelity_mc(9, WERNER_075, BACKUP, trials, seed=5)
+        assert pools == ([] if chunks is None else [[len(chunks), chunks]])
+
     def test_failure_rate_counts_floor_runs(self):
         stats = expected_fidelity_mc(4, WERNER_075, NO_BACKUP, trials=50_000, seed=17)
         # a run fails only when both first-round steps fail: (5/18)^2

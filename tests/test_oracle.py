@@ -133,7 +133,7 @@ COMPARISON_PINS = {
     ),
 }
 
-# RotationReport.max_deviation.hex(); both angle signs gave the same bits.
+# RotationReport.max_deviation.hex(); the mirrored convention gives the same bits.
 ROTATION_PINS = {
     (1, 0): '0x1.2400000000000p-56',
     (15, 0): '0x1.0000000000000p-53',
@@ -157,6 +157,42 @@ ROTATION_PINS = {
     (400, 58): '0x1.0000000000000p-52',
     (1000, 58): '0x1.0000000000000p-52',
 }
+
+
+def _pair_rotation(sign: int) -> np.ndarray:
+    """The pair pre-rotation built from scratch: x-rotation by sign * pi/2
+    for Alice and the opposite for Bob; the oracle's convention is +1."""
+    def rx(theta):
+        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+
+    theta = sign * np.pi / 2.0
+    return np.kron(rx(theta), rx(-theta))
+
+
+def _step_gate(u: np.ndarray) -> np.ndarray:
+    """Pre-rotation ``u`` on both pairs followed by the two bilateral CNOTs."""
+    return oracle._cnot_16(0, 2) @ oracle._cnot_16(1, 3) @ np.kron(u, u)
+
+
+def _projectors() -> tuple[np.ndarray, np.ndarray]:
+    """Projectors onto equal/unequal outcomes of qubits 2_A, 2_B."""
+    equal = np.zeros((4, 4), dtype=complex)
+    unequal = np.zeros((4, 4), dtype=complex)
+    for b in range(4):
+        (equal if b in (0b00, 0b11) else unequal)[b, b] = 1.0
+    eye4 = np.eye(4, dtype=complex)
+    return np.kron(eye4, equal), np.kron(eye4, unequal)
+
+
+def _use_convention(monkeypatch, sign: int) -> None:
+    """Run the oracle with Alice's rotation angle at sign * pi/2: its own
+    gates for +1, the mirrored ones built here for -1.  The swap of b and d
+    is its own inverse, so both conventions must pass every check."""
+    if sign == -1:
+        u = _pair_rotation(-1)
+        monkeypatch.setattr(oracle, "_PAIR_ROTATION", u)
+        monkeypatch.setattr(oracle, "_STEP_GATE", _step_gate(u))
 
 
 class TestBellBasis:
@@ -218,6 +254,14 @@ class TestValidateDensityMatrix:
         with pytest.raises(ValueError, match="positive"):
             validate_density_matrix(m)
 
+    @pytest.mark.parametrize("shape", [(16, 16), (2, 16, 16), (4,), (2, 2, 4, 4)])
+    def test_rejects_other_shapes(self, shape):
+        m = np.zeros(shape, dtype=complex)
+        with pytest.raises(ValueError) as err:
+            validate_density_matrix(m)
+        assert str(err.value) == (
+            f"expected a 4x4 matrix or a stack of them, got shape {shape}")
+
 
 class TestRotationChoice:
     def test_swaps_b_and_d(self):
@@ -235,9 +279,10 @@ class TestRotationChoice:
         assert report.passed
         assert report.max_deviation < 1e-12
 
-    def test_both_angle_conventions_work(self):
+    def test_both_angle_conventions_work(self, monkeypatch):
         # the swap is its own inverse, so the mirrored convention passes too
-        assert verify_rotation_choice(samples=100, seed=3, angle_sign=-1).passed
+        _use_convention(monkeypatch, -1)
+        assert verify_rotation_choice(samples=100, seed=3).passed
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_rejects_no_samples(self, samples):
@@ -281,29 +326,40 @@ class TestFullStep:
 class TestOracleConstants:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_cached_constants_are_read_only_and_fresh(self, sign):
-        fresh_u = oracle._pair_rotation.__wrapped__(sign)
-        fresh_gate = (oracle._cnot_16(0, 2) @ oracle._cnot_16(1, 3)
-                      @ np.kron(fresh_u, fresh_u))
-        cached = [oracle._pair_rotation(sign), oracle._step_gate(sign),
-                  *oracle._measurement_projectors()]
-        fresh = [fresh_u, fresh_gate, *oracle._measurement_projectors.__wrapped__()]
-        for got, want in zip(cached, fresh):
-            assert got.flags.writeable is False
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        fresh_u = _pair_rotation(sign)
+        # the module holds one convention, Alice at +pi/2, and not its mirror
+        assert (oracle._PAIR_ROTATION.tobytes() == fresh_u.tobytes()) is (sign == 1)
+        assert (oracle._STEP_GATE.tobytes()
+                == _step_gate(fresh_u).tobytes()) is (sign == 1)
+        if sign == -1:
+            return
+        equal, unequal = _projectors()
+        assert BELL_BASIS.flags.writeable is False  # its values: TestBellBasis
+        built = {
+            "_OFF_DIAGONAL": 1.0 - np.eye(4),
+            "_BELL_BASIS_CONJ": BELL_BASIS.conj(),
+            "_LOCC_FLOOR": embed(BellDiagonalState(0.5, 0.5, 0.0, 0.0)),
+            "_PAIR_ROTATION": fresh_u,
+            "_STEP_GATE": _step_gate(fresh_u),
+            "_KEEP_EQUAL": equal.diagonal().copy(),
+            "_KEEP_UNEQUAL": unequal.diagonal().copy(),
+        }
+        for name, want in built.items():
+            got = getattr(oracle, name)
+            assert got.flags.writeable is False, name
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
         with pytest.raises(ValueError):
-            cached[1][0, 0] = 0.0
+            oracle._STEP_GATE[0, 0] = 0.0
 
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_repeated_steps_give_the_same_bits(self, sign):
-        # the first call builds the constants, the second reuses them
+    def test_repeated_steps_give_the_same_bits(self, sign, monkeypatch):
+        # a step leaves the shared gates as it found them
+        _use_convention(monkeypatch, sign)
         rng = np.random.default_rng(6)
         for _ in range(20):
             m = embed(BellDiagonalState(*rng.dirichlet(np.ones(4))))
-            for built in (oracle._pair_rotation, oracle._step_gate,
-                          oracle._measurement_projectors):
-                built.cache_clear()
-            first, second = (dejmps_step_full(m, sign) for _ in range(2))
+            first, second = (dejmps_step_full(m) for _ in range(2))
             assert first.p_success == second.p_success
             assert first.failure_reachable == second.failure_reachable
             assert first.success_m.tobytes() == second.success_m.tobytes()
@@ -340,8 +396,9 @@ class TestPinnedBits:
 
     @pytest.mark.parametrize("samples, seed", sorted(ROTATION_PINS))
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_rotation_report(self, samples, seed, sign):
-        report = verify_rotation_choice(samples, seed, sign)
+    def test_rotation_report(self, samples, seed, sign, monkeypatch):
+        _use_convention(monkeypatch, sign)
+        report = verify_rotation_choice(samples, seed)
         assert report.passed and report.samples == samples
         assert float(report.max_deviation).hex() == ROTATION_PINS[samples, seed]
 
@@ -353,18 +410,19 @@ def _random_stack(seed: int, k: int = 16) -> list[BellDiagonalState]:
 
 class TestStacks:
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_stack_equals_single_calls_bytewise(self, sign):
+    def test_stack_equals_single_calls_bytewise(self, sign, monkeypatch):
+        _use_convention(monkeypatch, sign)
         states = _random_stack(10)
         states[3] = states[11] = BellDiagonalState(1, 0, 0, 0)  # failure unreachable
         stack = embed(states)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stacked = dejmps_step_full(stack, sign)
+            stacked = dejmps_step_full(stack)
         assert list(stacked.failure_reachable).count(False) == 2
         for i, s in enumerate(states):
             m = embed(s)
             assert stack[i].tobytes() == m.tobytes()
-            single = dejmps_step_full(m, sign)
+            single = dejmps_step_full(m)
             assert stacked.p_success[i].hex() == single.p_success.hex()
             assert stacked.failure_reachable[i] == single.failure_reachable
             assert stacked.success_m[i].tobytes() == single.success_m.tobytes()
@@ -394,7 +452,7 @@ class TestStacks:
         assert str(stacked.value) == str(single.value)
 
     def test_memory_does_not_grow_with_samples(self):
-        compare_with_closed_form(20, 0)  # builds the cached gates
+        compare_with_closed_form(20, 0)  # warms up numpy
         peaks = []
         for samples in (400, 4000):
             tracemalloc.start()
@@ -423,15 +481,16 @@ class TestSlicedBranch:
     @pytest.mark.parametrize("seed", range(24))
     @pytest.mark.parametrize("k", [1, 16])
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_matches_the_projector_form_bytewise(self, seed, k, sign):
+    def test_matches_the_projector_form_bytewise(self, seed, k, sign, monkeypatch):
+        _use_convention(monkeypatch, sign)
         states = _random_stack(100 + seed, k)
         if seed % 3 == 0:  # failure unreachable in some rows
             states[0] = BellDiagonalState(1, 0, 0, 0)
             states[k // 2] = BellDiagonalState(1, 0, 0, 0)
-        gate = oracle._step_gate(sign)
+        gate = oracle._STEP_GATE
         rho = gate @ oracle._kron_with_itself(embed(states)) @ gate.conj().T
-        for proj in oracle._measurement_projectors():
-            got = oracle._branch(rho, proj)
+        for keep, proj in zip((oracle._KEEP_EQUAL, oracle._KEEP_UNEQUAL), _projectors()):
+            got = oracle._branch(rho, keep)
             want = reference_branch(rho, proj)
             assert [x.dtype for x in got] == [x.dtype for x in want]
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
