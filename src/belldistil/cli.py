@@ -14,13 +14,14 @@ undefined (an ``nmin`` without a gain, the ``fig3`` ratio at A0 = 0); rows
 are ordered by the sweep variable and the file ends with a newline.  A
 ``--start``/``--stop``/``--step`` grid holds the points start + i*step
 (rounded to 12 decimals) that do not pass ``--stop``.  Exit codes: 0
-success, 1 verification failure, 2 usage error (also an unwritable
-``--out`` path, a NaN or infinite coefficient or grid bound, a grid step
-below 1e-12, the resolution of the grid points, an empty ``fig4`` range, or
-a Monte Carlo stream index past 64 bits), 3 resource cap (an exact
-expectation above 4096 pairs, a Monte Carlo run of more than 10,000,000
-trials or of more than 8,000,000,000 trials * pairs, a grid of more than
-100,000 points, or a ``verify-oracle`` run of more than 1,000,000 samples).
+success, 1 verification failure (also an oracle matrix off the Bell
+diagonal), 2 usage error (also an unwritable ``--out`` path, a NaN or
+infinite coefficient or grid bound, a grid step below 1e-12, the resolution
+of the grid points, an empty ``fig4`` range, or a Monte Carlo stream index
+past 64 bits), 3 resource cap (an exact expectation above 4096 pairs, a
+Monte Carlo run of more than 10,000,000 trials or of more than
+8,000,000,000 trials * pairs, a grid of more than 100,000 points, or a
+``verify-oracle`` run of more than 1,000,000 samples).
 """
 
 from __future__ import annotations
@@ -238,18 +239,17 @@ def cmd_fig4(args: argparse.Namespace) -> int:
 def cmd_verify_oracle(args: argparse.Namespace) -> int:
     # imported here: compiled from source, the oracle module costs about
     # 0.6 MB of resident memory that no other subcommand needs
-    from .oracle import compare_with_closed_form, verify_rotation_choice
+    from .oracle import compare_with_closed_form
 
     # the comparison checks the sample count before anything is drawn
     report = compare_with_closed_form(args.samples, args.seed)
-    rotation = verify_rotation_choice(min(args.samples, 1000), args.seed)
-    print(f"rotation convention   {'pass' if rotation.passed else 'FAIL'}"
-          f" (max deviation {rotation.max_deviation:.3g})")
+    print(f"rotation convention   {'pass' if report.rotation.passed else 'FAIL'}"
+          f" (max deviation {report.rotation.max_deviation:.3g})")
     print(f"samples               {report.samples}")
     print(f"max p deviation       {report.max_p_deviation:.3g}")
     print(f"max success deviation {report.max_success_deviation:.3g}")
     print(f"max failure deviation {report.max_failure_deviation:.3g}")
-    if rotation.passed and report.max_deviation < 1e-10:
+    if report.rotation.passed and report.max_deviation < 1e-10:
         print("verdict               pass")
         return 0
     print(f"verdict               FAIL (worst state {report.worst_state})")

@@ -7,9 +7,9 @@ recovered success probability and branch states must reproduce the
 coefficient maps of :mod:`belldistil.bell_core` exactly; nothing in this
 module reuses those maps.  The pre-rotation has one convention, the one
 those maps encode: Alice rotates by +pi/2 about x and Bob by -pi/2.  A
-branch is sliced out of the 16x16 matrix by the kept outcomes.  The
-randomized checks call the closed form once per state and the oracle once
-per stack of states, and scan deviations per stack.
+branch is sliced out of the 16x16 matrix by the kept outcomes.  One
+randomized pass draws each state once, checks the step on it and, on the
+first states, the pre-rotation, and scans deviations per stack.
 
 Qubit ordering in the 16-dimensional space is (1_A, 1_B, 2_A, 2_B); each
 pair is Alice-major (A, B) with computational basis order 00, 01, 10, 11.
@@ -38,6 +38,9 @@ _ORACLE_STACK = 16
 
 #: Most samples a randomized check may draw: about a minute of the oracle.
 _ORACLE_SAMPLE_CAP = 1_000_000
+
+#: Samples, from the first, on which the comparison also checks the rotation.
+_ROTATION_SAMPLES = 1000
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -92,7 +95,7 @@ def validate_density_matrix(m: np.ndarray) -> None:
     trace = np.trace(ms, axis1=1, axis2=2)
     i = _first(abs(trace - 1.0) > TRACE_ATOL)
     if i is not None:
-        raise ValueError(f"trace is {trace[i]!r}, expected 1")
+        raise ValueError(f"trace is {complex(trace[i])}, expected 1")
     if (np.linalg.eigvalsh(ms).min(axis=1) < -PSD_ATOL).any():
         raise ValueError("matrix is not positive semidefinite")
 
@@ -115,29 +118,28 @@ def _embed(coeffs: np.ndarray) -> np.ndarray:
     return m
 
 
-def _bell_diagonal(m: np.ndarray) -> np.ndarray:
-    """Real Bell-basis diagonals, ``(k, 4)``, after the checks of
-    :func:`bell_coefficients`."""
+def _bell_diagonal(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, Exception | None]:
+    """Real Bell-basis diagonals, ``(k, 4)``, the mask of samples that fail a
+    check of :func:`bell_coefficients`, and the error it raises for them."""
     in_bell = _BELL_BASIS_CONJ @ _stacked(m) @ BELL_BASIS.T
     diag = np.diagonal(in_bell, axis1=1, axis2=2)
     # a NaN or infinite diagonal element gives NaN, not 0: the coefficient
     # passes here and the state rejects it
     off = np.abs(in_bell)
     off *= _OFF_DIAGONAL
-    i = _first(off.max(axis=(1, 2)) > BELL_OFFDIAG_ATOL)
-    if i is not None:
-        worst = np.unravel_index(np.argmax(off[i]), (4, 4))
-        raise NotBellDiagonalError(
-            f"off-diagonal Bell element {in_bell[i][worst]!r} at {worst} "
-            f"exceeds {BELL_OFFDIAG_ATOL}"
-        )
+    off_diagonal = off.max(axis=(1, 2)) > BELL_OFFDIAG_ATOL
     residue = np.abs(diag.imag).max(axis=1)
-    i = _first(residue > IMAG_RESIDUE_ATOL)
-    if i is not None:
-        raise NotBellDiagonalError(
-            f"imaginary residue {residue[i]!r} in Bell coefficients"
-        )
-    return diag.real
+    imaginary = residue > IMAG_RESIDUE_ATOL
+    error = None
+    if (i := _first(off_diagonal)) is not None:
+        row, col = np.unravel_index(np.argmax(off[i]), (4, 4))
+        error = NotBellDiagonalError(
+            f"off-diagonal Bell element {complex(in_bell[i, row, col])} at "
+            f"({row}, {col}) exceeds {BELL_OFFDIAG_ATOL}")
+    elif (i := _first(imaginary)) is not None:
+        error = NotBellDiagonalError(
+            f"imaginary residue {float(residue[i])} in Bell coefficients")
+    return diag.real, off_diagonal | imaginary, error
 
 
 def bell_coefficients(
@@ -150,7 +152,10 @@ def bell_coefficients(
     in a stack, each check reports the first sample that fails it.  A
     stack of matrices gives the list of their states.
     """
-    states = [BellDiagonalState(*row) for row in _bell_diagonal(m)]
+    diag, _, error = _bell_diagonal(m)
+    if error is not None:
+        raise error
+    states = [BellDiagonalState(*row) for row in diag]
     return states[0] if m.ndim == 2 else states
 
 
@@ -260,8 +265,8 @@ def apply_rotation_pair(m: np.ndarray) -> np.ndarray:
 
 
 def _random_states(samples: int, seed: int):
-    """Coefficients of random Bell-diagonal states, ``(k, 4)`` stacks with
-    k at most ``_ORACLE_STACK``; the sample count is checked before any draw.
+    """Coefficients of random Bell-diagonal states, ``(k, 4)`` stacks with k
+    at most ``_ORACLE_STACK``, and their embeddings; the count is checked first.
 
     numpy draws ``dirichlet(alpha, size=k)`` as k single draws in a row,
     so the states do not depend on the stack size.
@@ -276,25 +281,8 @@ def _random_states(samples: int, seed: int):
     rng = np.random.default_rng(seed)
     for lo in range(0, samples, _ORACLE_STACK):
         draws = rng.dirichlet(np.ones(4), size=min(_ORACLE_STACK, samples - lo))
-        yield _coefficient_rows(draws)
-
-
-def verify_rotation_choice(samples: int = 1000, seed: int = 0) -> RotationReport:
-    """Check that the pre-rotation swaps the Psi- and Phi- coefficients.
-
-    Applies the rotation pair to random Bell-diagonal states and compares
-    the resulting coefficients against (a, d, c, b).  Failures are
-    reported, not raised.
-    """
-    worst = 0.0
-    for coeffs in _random_states(samples, seed):
-        rotated = apply_rotation_pair(_embed(coeffs))
-        try:
-            got = _coefficient_rows(_bell_diagonal(rotated))
-        except NotBellDiagonalError:
-            return RotationReport(False, np.inf, samples)
-        worst = max(worst, np.abs(got - coeffs[:, [0, 3, 2, 1]]).max())
-    return RotationReport(worst < 1e-12, worst, samples)
+        coeffs = _coefficient_rows(draws)
+        yield coeffs, _embed(coeffs)
 
 
 @dataclass(frozen=True)
@@ -306,6 +294,7 @@ class ComparisonReport:
     max_success_deviation: float
     max_failure_deviation: float
     worst_state: tuple[float, float, float, float]
+    rotation: RotationReport
 
     @property
     def max_deviation(self) -> float:
@@ -325,34 +314,45 @@ def compare_with_closed_form(
     injectable so a deliberately corrupted map can serve as a negative
     control.  The closed form is called once per state, the oracle once per
     stack of ``_ORACLE_STACK`` states, whose deviations are scanned as
-    arrays.  A failure branch reachable on one side only deviates by
-    infinity; the worst state is the first with the largest deviation.
+    arrays.  A failure branch reachable on one side only, or a matrix off
+    the Bell diagonal, deviates by infinity; the worst state is the first
+    with the largest deviation.  ``rotation`` checks that the pre-rotation
+    swaps the Psi- and Phi- coefficients of the first ``_ROTATION_SAMPLES``.
     """
     from .bell_core import distill_step
 
     if step_fn is None:
         step_fn = distill_step
-    dev_p = dev_s = dev_f = 0.0
+    dev_p = dev_s = dev_f = dev_r = 0.0
     worst_state = (1.0, 0.0, 0.0, 0.0)
-    for coeffs in _random_states(samples, seed):
+    for j, (coeffs, m) in enumerate(_random_states(samples, seed)):
         closed = [step_fn(_state(row)) for row in coeffs.tolist()]
-        full = dejmps_step_full(_embed(coeffs))
+        full = dejmps_step_full(m)
         dp = abs(full.p_success - np.array([c.p_success for c in closed]))
-        ds = _deviation(full.success_m, [c.success_state for c in closed])
+        ds = _deviation(full.success_m, [c.success_state.as_tuple() for c in closed])
         reachable = np.array([c.failure_reachable for c in closed])
         both = full.failure_reachable & reachable
         df = np.where(full.failure_reachable == reachable, 0.0, np.inf)
-        df[both] = _deviation(full.failure_m[both],
-                              [c.failure_state for c, b in zip(closed, both) if b])
+        df[both] = _deviation(full.failure_m[both], [
+            c.failure_state.as_tuple() for c, b in zip(closed, both) if b])
         deviation = np.maximum(np.maximum(dp, ds), df)
         i = int(np.argmax(deviation))
         if deviation[i] > max(dev_p, dev_s, dev_f):
             worst_state = tuple(coeffs[i].tolist())
         dev_p, dev_s, dev_f = max(dev_p, dp.max()), max(dev_s, ds.max()), max(dev_f, df.max())
-    return ComparisonReport(samples, dev_p, dev_s, dev_f, worst_state)
+        if (k := min(len(coeffs), _ROTATION_SAMPLES - j * _ORACLE_STACK)) > 0:
+            rotated = apply_rotation_pair(m[:k])  # (a, b, c, d) -> (a, d, c, b)
+            dev_r = max(dev_r, _deviation(rotated, coeffs[:k, [0, 3, 2, 1]]).max())
+    rotation = RotationReport(dev_r < 1e-12, dev_r, min(samples, _ROTATION_SAMPLES))
+    return ComparisonReport(samples, dev_p, dev_s, dev_f, worst_state, rotation)
 
 
-def _deviation(m: np.ndarray, states: list[BellDiagonalState]) -> np.ndarray:
-    """Largest coefficient deviation of each oracle matrix from its state."""
-    closed = np.array([s.as_tuple() for s in states]).reshape(-1, 4)
-    return np.abs(_coefficient_rows(_bell_diagonal(m)) - closed).max(axis=1)
+def _deviation(m: np.ndarray, expected) -> np.ndarray:
+    """Largest coefficient deviation of each oracle matrix from its row of
+    ``expected``; infinite for a matrix off the Bell diagonal."""
+    expected = np.reshape(expected, (-1, 4))
+    diag, failed, _ = _bell_diagonal(m)
+    got = _coefficient_rows(np.where(failed[:, None], expected, diag))
+    dev = np.abs(got - expected).max(axis=1)
+    dev[failed] = np.inf
+    return dev

@@ -318,6 +318,10 @@ PINNED = {
     "verify_oracle": (
         ["verify-oracle", "--samples", "30", "--seed", "5"],
         "2caa610303f96b64821597b3f304b637abfa80971ad3bed4d31d60f8a07f7e3f", "", 0),
+    # the rotation's cut at 1000 samples falls inside the stack of 992-1007
+    "verify_oracle_rotation_cut": (
+        ["verify-oracle", "--samples", "1009", "--seed", "3"],
+        "7a07d8bf6954833a78317e6cc0dc0dd7b7884df18d89c0700e378ec04d77fb8b", "", 0),
     "verify_oracle_sample_cap": (
         ["verify-oracle", "--samples", "1000001"], _EMPTY, _ORACLE_CAP_ERROR, 3),
     "verify_oracle_no_samples": (

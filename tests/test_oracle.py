@@ -17,7 +17,6 @@ from belldistil.oracle import (
     dejmps_step_full,
     embed,
     validate_density_matrix,
-    verify_rotation_choice,
 )
 
 WERNER_075 = werner(0.75)
@@ -275,19 +274,19 @@ class TestRotationChoice:
         assert rotated.as_tuple() == pytest.approx(s.as_tuple(), abs=1e-14)
 
     def test_randomized_report(self):
-        report = verify_rotation_choice(samples=1000, seed=2)
+        report = compare_with_closed_form(samples=1000, seed=2).rotation
         assert report.passed
         assert report.max_deviation < 1e-12
 
     def test_both_angle_conventions_work(self, monkeypatch):
         # the swap is its own inverse, so the mirrored convention passes too
         _use_convention(monkeypatch, -1)
-        assert verify_rotation_choice(samples=100, seed=3).passed
+        assert compare_with_closed_form(samples=100, seed=3).rotation.passed
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_rejects_no_samples(self, samples):
         with pytest.raises(ValueError, match=f"must be >= 1, got {samples}"):
-            verify_rotation_choice(samples=samples)
+            compare_with_closed_form(samples=samples)
 
 
 class TestFullStep:
@@ -388,19 +387,38 @@ class TestPinnedBits:
     @pytest.mark.parametrize("samples, seed", sorted(COMPARISON_PINS))
     def test_comparison_report(self, samples, seed):
         report = compare_with_closed_form(samples, seed)
-        got = (report.max_p_deviation.hex(), report.max_success_deviation.hex(),
-               report.max_failure_deviation.hex(),
-               tuple(float(x).hex() for x in report.worst_state))
         assert report.samples == samples
-        assert got == COMPARISON_PINS[samples, seed]
+        assert _comparison_bits(report) == COMPARISON_PINS[samples, seed]
 
     @pytest.mark.parametrize("samples, seed", sorted(ROTATION_PINS))
     @pytest.mark.parametrize("sign", [1, -1])
     def test_rotation_report(self, samples, seed, sign, monkeypatch):
+        # the rotation is checked in the comparison's pass: both keep their
+        # bits under both conventions
         _use_convention(monkeypatch, sign)
-        report = verify_rotation_choice(samples, seed)
+        comparison = compare_with_closed_form(samples, seed)
+        report = comparison.rotation
         assert report.passed and report.samples == samples
         assert float(report.max_deviation).hex() == ROTATION_PINS[samples, seed]
+        assert _comparison_bits(comparison) == COMPARISON_PINS[samples, seed]
+
+    def test_rotation_cut_inside_a_stack(self, monkeypatch):
+        # at 1009 samples the cut at 1000 falls inside the stack of 992-1007
+        sizes = []
+        rotate = oracle.apply_rotation_pair
+        monkeypatch.setattr(oracle, "apply_rotation_pair",
+                            lambda m: sizes.append(len(m)) or rotate(m))
+        report = compare_with_closed_form(1009, 3).rotation
+        assert sizes == [16] * 62 + [8]
+        assert report.samples == 1000
+        assert report == compare_with_closed_form(1000, 3).rotation
+
+
+def _comparison_bits(report: ComparisonReport) -> tuple:
+    """float.hex() of the fields that COMPARISON_PINS holds."""
+    return (report.max_p_deviation.hex(), report.max_success_deviation.hex(),
+            report.max_failure_deviation.hex(),
+            tuple(float(x).hex() for x in report.worst_state))
 
 
 def _random_stack(seed: int, k: int = 16) -> list[BellDiagonalState]:
@@ -450,6 +468,37 @@ class TestStacks:
         with pytest.raises(NotBellDiagonalError) as stacked:
             bell_coefficients(stack)
         assert str(stacked.value) == str(single.value)
+
+    def test_plain_numbers_in_messages(self):
+        # Python numbers, not numpy reprs, for one matrix and for a stack
+        phi_plus = np.outer(BELL_BASIS[0], BELL_BASIS[0].conj())
+        single_trace = np.eye(4, dtype=complex)
+        single_off = np.zeros((4, 4), dtype=complex)
+        single_off[0, 0] = 1.0  # |00><00| mixes Phi+ and Phi-
+        single_imag = embed(WERNER_075) + 1e-6j * phi_plus
+        stack_trace, stack_off, stack_imag = (embed(_random_stack(seed))
+                                              for seed in (11, 12, 13))
+        stack_trace[5] *= 1.1
+        stack_off[7, 0, 0] += 0.01
+        stack_off[7, 3, 3] -= 0.01
+        stack_imag[4] += 2.5e-9j * phi_plus
+        cases = [
+            (validate_density_matrix, single_trace, "trace is (4+0j), expected 1"),
+            (validate_density_matrix, stack_trace,
+             "trace is (1.0999999999999999+0j), expected 1"),
+            (bell_coefficients, single_off,
+             "off-diagonal Bell element (0.4999999999999999+0j) at (0, 3) exceeds 1e-10"),
+            (bell_coefficients, stack_off,
+             "off-diagonal Bell element (0.010000000000000016+0j) at (0, 3) exceeds 1e-10"),
+            (bell_coefficients, single_imag,
+             "imaginary residue 9.999999999999995e-07 in Bell coefficients"),
+            (bell_coefficients, stack_imag,
+             "imaginary residue 2.4999999999999992e-09 in Bell coefficients"),
+        ]
+        for check, m, message in cases:
+            with pytest.raises(ValueError) as err:
+                check(m)
+            assert str(err.value) == message
 
     def test_memory_does_not_grow_with_samples(self):
         compare_with_closed_form(20, 0)  # warms up numpy
@@ -554,6 +603,44 @@ class TestDeviationScan:
         out = capsys.readouterr().out
         assert "max failure deviation inf\n" in out
         assert f"verdict               FAIL (worst state {seen[5]})\n" in out
+
+    def test_off_diagonal_read_is_infinite_in_its_row_only(self, monkeypatch):
+        states = _random_stack(14)
+        stack = embed(states)
+        stack[9, 0, 0] += 0.01  # off the Bell diagonal, trace kept
+        stack[9, 3, 3] -= 0.01
+        dev = oracle._deviation(stack, [s.as_tuple() for s in states])
+        assert dev[9] == np.inf
+        assert np.delete(dev, 9).max() < 1e-15
+
+        step_full = oracle.dejmps_step_full
+
+        def corrupted(m):
+            full = step_full(m)
+            success_m = full.success_m.copy()
+            success_m[9] = stack[9]
+            return replace(full, success_m=success_m)
+
+        monkeypatch.setattr(oracle, "dejmps_step_full", corrupted)
+        step, seen = _counting_step(lambda i, out: out)
+        report = compare_with_closed_form(16, 4, step_fn=step)
+        assert report.max_success_deviation == np.inf
+        assert report.worst_state == seen[9]
+        assert report.max_p_deviation < 1e-14 and report.max_failure_deviation < 1e-14
+
+    def test_wrong_pre_rotation_exits_one(self, capsys, monkeypatch):
+        from belldistil import cli
+
+        # Alice and Bob at +-pi/4: the step and the rotation leave the Bell diagonal
+        u = np.kron(oracle._rx(np.pi / 4.0), oracle._rx(-np.pi / 4.0))
+        monkeypatch.setattr(oracle, "_PAIR_ROTATION", u)
+        monkeypatch.setattr(oracle, "_STEP_GATE", _step_gate(u))
+        assert cli.main(["verify-oracle", "--samples", "20"]) == 1
+        out = capsys.readouterr().out
+        worst = compare_with_closed_form(20, 0).worst_state
+        assert out.startswith("rotation convention   FAIL (max deviation inf)\n")
+        assert "max success deviation inf\n" in out
+        assert out.endswith(f"verdict               FAIL (worst state {worst})\n")
 
     def test_zero_deviation_keeps_the_default_worst_state(self):
         report = compare_with_closed_form(40, 3, step_fn=_oracle_step)
