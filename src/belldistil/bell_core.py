@@ -55,12 +55,28 @@ def _square(x):
     return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x**2
 
 
+def _first(failed: np.ndarray) -> int | None:
+    """Index of the first sample flagged in ``failed``, or None."""
+    return int(np.argmax(failed)) if failed.any() else None
+
+
 def _raise_first(ok: np.ndarray, check, *values: np.ndarray) -> None:
     """Raise what ``check`` raises on the floats of the first state of a
     stack that fails ``ok``; the float call holds the one error message."""
-    if not ok.all():
-        i = int(np.argmin(ok))
+    if (i := _first(~ok)) is not None:
         check(*(float(x[i]) for x in values))
+
+
+def _normalized_rows(a, b, c, d):
+    """The check of :func:`_normalized` on a stack, without raising: the
+    coefficients and the mask of states that pass.  A failing state holds
+    any values and raises no numpy warning."""
+    ok = (a >= CLAMP_FLOOR) & (b >= CLAMP_FLOOR) & (c >= CLAMP_FLOOR) & (d >= CLAMP_FLOOR)
+    ca, cb, cc, cd = (np.where(x < 0.0, 0.0, x) for x in (a, b, c, d))
+    total = ((ca + cb) + cc) + cd
+    ok &= abs(total - 1.0) <= NORM_ATOL
+    total = np.where(ok, total, 1.0)
+    return (ca / total, cb / total, cc / total, cd / total), ok
 
 
 def _normalized(a, b, c, d):
@@ -69,16 +85,13 @@ def _normalized(a, b, c, d):
     Every constructed state and every application of a step map passes
     through here exactly once (renormalizing is not idempotent in floating
     point).  The comparisons are written so that NaN fails them.  A stack
-    takes the same steps elementwise, every state is checked, and the error
-    is the one of the first state that fails.
+    goes through :func:`_normalized_rows`, every state is checked, and the
+    error is the one of the first state that fails.
     """
     if isinstance(a, np.ndarray):
-        valid = ((a >= CLAMP_FLOOR) & (b >= CLAMP_FLOOR) & (c >= CLAMP_FLOOR)
-                 & (d >= CLAMP_FLOOR))
-        ca, cb, cc, cd = (np.where(x < 0.0, 0.0, x) for x in (a, b, c, d))
-        total = ((ca + cb) + cc) + cd
-        _raise_first(valid & (abs(total - 1.0) <= NORM_ATOL), _normalized, a, b, c, d)
-        return (ca / total, cb / total, cc / total, cd / total)
+        coeffs, ok = _normalized_rows(a, b, c, d)
+        _raise_first(ok, _normalized, a, b, c, d)
+        return coeffs
     if not (a >= CLAMP_FLOOR and b >= CLAMP_FLOOR and c >= CLAMP_FLOOR
             and d >= CLAMP_FLOOR):
         coeffs = (a, b, c, d)

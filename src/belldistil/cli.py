@@ -15,7 +15,7 @@ are ordered by the sweep variable and the file ends with a newline.  A
 ``--start``/``--stop``/``--step`` grid holds the points start + i*step
 (rounded to 12 decimals) that do not pass ``--stop``.  Exit codes: 0
 success, 1 verification failure (also an oracle matrix off the Bell
-diagonal), 2 usage error (also an unwritable ``--out`` path, a NaN or
+diagonal or read as no state), 2 usage error (also an unwritable ``--out`` path, a NaN or
 infinite coefficient or grid bound, a grid step below 1e-12, the resolution
 of the grid points, an empty ``fig4`` range, or a Monte Carlo stream index
 past 64 bits), 3 resource cap (an exact expectation above 4096 pairs, a

@@ -67,7 +67,7 @@ _EXACT_WORK_CAP = 80_000_000_000
 
 #: A coefficient stack is evaluated in chunks of states whose exact tables
 #: hold at most this many (state, starting count) entries, about 32 bytes
-#: each at the peak, so a sweep stays near 2 MB at any grid size.
+#: each at the peak: the tables, not the returned lists, stay near 2.5 MB.
 _STACK_ENTRIES = 2**16
 
 
@@ -214,11 +214,11 @@ def expected_fidelity_mc(
     The compiled kernel computes each uniform from its stream index when a
     trajectory reads it, so no uniform buffer grows with n or the trial
     count; the per-trial results do, so more than ``MC_TRIALS_CAP`` trials
-    raise :class:`ResourceCapError`, and a stream index past 64 bits
-    ``ValueError``, before anything is allocated.  The work grows with
-    trials * n, so more than ``MC_WORK_CAP`` raises :class:`ResourceCapError`
-    after the depth tables (a few dozen entries) and before the results are
-    allocated.
+    raise :class:`ResourceCapError`, and fewer than one worker or a stream
+    index past 64 bits ``ValueError``, before anything is allocated.  The
+    work grows with trials * n, so more than ``MC_WORK_CAP`` raises
+    :class:`ResourceCapError` after the depth tables (a few dozen entries)
+    and before the results are allocated.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
@@ -227,6 +227,8 @@ def expected_fidelity_mc(
             f"Monte Carlo capped at {MC_TRIALS_CAP} trials; "
             "use fewer trials or average independent seeds"
         )
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
     n = _effective_n(n, policy)
     if n > 2**63 - 1 or trials * n > 2**64 - 1:
         raise ValueError(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell_core import BellDiagonalState, _normalized, _state
+from .bell_core import BellDiagonalState, _first, _normalized, _normalized_rows, _state
 from .errors import NotBellDiagonalError, ResourceCapError
 
 HERMITIAN_ATOL = 1e-12
@@ -74,11 +74,6 @@ def _stacked(m: np.ndarray) -> np.ndarray:
     return m[np.newaxis] if m.ndim == 2 else m
 
 
-def _first(failed: np.ndarray) -> int | None:
-    """Index of the first sample flagged in ``failed``, or None."""
-    return int(np.argmax(failed)) if failed.any() else None
-
-
 def validate_density_matrix(m: np.ndarray) -> None:
     """Check Hermiticity, unit trace and positive semidefiniteness.
 
@@ -93,8 +88,7 @@ def validate_density_matrix(m: np.ndarray) -> None:
     if (asymmetry > HERMITIAN_ATOL).any():
         raise ValueError("matrix is not Hermitian")
     trace = np.trace(ms, axis1=1, axis2=2)
-    i = _first(abs(trace - 1.0) > TRACE_ATOL)
-    if i is not None:
+    if (i := _first(abs(trace - 1.0) > TRACE_ATOL)) is not None:
         raise ValueError(f"trace is {complex(trace[i])}, expected 1")
     if (np.linalg.eigvalsh(ms).min(axis=1) < -PSD_ATOL).any():
         raise ValueError("matrix is not positive semidefinite")
@@ -148,20 +142,15 @@ def bell_coefficients(
     """Inverse of :func:`embed`: read the four Bell-projector coefficients.
 
     Rejects matrices with Bell-basis off-diagonal elements above
-    ``BELL_OFFDIAG_ATOL`` or with non-negligible imaginary diagonal parts;
-    in a stack, each check reports the first sample that fails it.  A
-    stack of matrices gives the list of their states.
+    ``BELL_OFFDIAG_ATOL``, non-negligible imaginary diagonal parts or
+    coefficients that are no state; in a stack, each check reports the
+    first sample that fails it.  A stack gives the list of its states.
     """
     diag, _, error = _bell_diagonal(m)
     if error is not None:
         raise error
-    states = [BellDiagonalState(*row) for row in diag]
+    states = [_state(row) for row in np.stack(_normalized(*diag.T), axis=1).tolist()]
     return states[0] if m.ndim == 2 else states
-
-
-def _coefficient_rows(x: np.ndarray) -> np.ndarray:
-    """Each row of ``x`` with the bits of ``BellDiagonalState(*row)``."""
-    return np.stack(_normalized(*x.T), axis=1)
 
 
 def _rx(theta: float) -> np.ndarray:
@@ -246,7 +235,7 @@ def dejmps_step_full(m: np.ndarray) -> FullStepOutcome:
         _branch(rho, keep) for keep in (_KEEP_EQUAL, _KEEP_UNEQUAL)
     )
     if m.ndim == 2:
-        return FullStepOutcome(p[0], success_m[0], failure_m[0], failure_ok[0])
+        return FullStepOutcome(float(p[0]), success_m[0], failure_m[0], bool(failure_ok[0]))
     return FullStepOutcome(p, success_m, failure_m, failure_ok)
 
 
@@ -281,7 +270,7 @@ def _random_states(samples: int, seed: int):
     rng = np.random.default_rng(seed)
     for lo in range(0, samples, _ORACLE_STACK):
         draws = rng.dirichlet(np.ones(4), size=min(_ORACLE_STACK, samples - lo))
-        coeffs = _coefficient_rows(draws)
+        coeffs = np.stack(_normalized(*draws.T), axis=1)
         yield coeffs, _embed(coeffs)
 
 
@@ -314,10 +303,10 @@ def compare_with_closed_form(
     injectable so a deliberately corrupted map can serve as a negative
     control.  The closed form is called once per state, the oracle once per
     stack of ``_ORACLE_STACK`` states, whose deviations are scanned as
-    arrays.  A failure branch reachable on one side only, or a matrix off
-    the Bell diagonal, deviates by infinity; the worst state is the first
-    with the largest deviation.  ``rotation`` checks that the pre-rotation
-    swaps the Psi- and Phi- coefficients of the first ``_ROTATION_SAMPLES``.
+    arrays.  Each branch is read by :func:`_deviation`; a failure branch
+    reachable on one side only also deviates by infinity.  The worst state
+    is the first with the largest deviation.  ``rotation`` checks that the
+    pre-rotation swaps Psi- and Phi- in the first ``_ROTATION_SAMPLES``.
     """
     from .bell_core import distill_step
 
@@ -330,11 +319,8 @@ def compare_with_closed_form(
         full = dejmps_step_full(m)
         dp = abs(full.p_success - np.array([c.p_success for c in closed]))
         ds = _deviation(full.success_m, [c.success_state.as_tuple() for c in closed])
-        reachable = np.array([c.failure_reachable for c in closed])
-        both = full.failure_reachable & reachable
-        df = np.where(full.failure_reachable == reachable, 0.0, np.inf)
-        df[both] = _deviation(full.failure_m[both], [
-            c.failure_state.as_tuple() for c, b in zip(closed, both) if b])
+        df = _deviation(full.failure_m, [c.failure_state.as_tuple() for c in closed])
+        df[full.failure_reachable != [c.failure_reachable for c in closed]] = np.inf
         deviation = np.maximum(np.maximum(dp, ds), df)
         i = int(np.argmax(deviation))
         if deviation[i] > max(dev_p, dev_s, dev_f):
@@ -349,10 +335,9 @@ def compare_with_closed_form(
 
 def _deviation(m: np.ndarray, expected) -> np.ndarray:
     """Largest coefficient deviation of each oracle matrix from its row of
-    ``expected``; infinite for a matrix off the Bell diagonal."""
-    expected = np.reshape(expected, (-1, 4))
+    ``expected``; infinite where :func:`bell_coefficients` would reject it."""
     diag, failed, _ = _bell_diagonal(m)
-    got = _coefficient_rows(np.where(failed[:, None], expected, diag))
-    dev = np.abs(got - expected).max(axis=1)
-    dev[failed] = np.inf
+    got, ok = _normalized_rows(*diag.T)
+    dev = np.abs(np.stack(got, axis=1) - np.reshape(expected, (-1, 4))).max(axis=1)
+    dev[failed | ~ok] = np.inf
     return dev

@@ -12,6 +12,7 @@ replaced, which stays here as its reference.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from belldistil import (
     werner,
 )
 from belldistil import _kernels
-from belldistil.bell_core import _normalized, _square
+from belldistil.bell_core import _normalized, _normalized_rows, _square
 from belldistil.cli import _a_grid, _werner_stack
 from belldistil.iterative_scheme import _STACK_ENTRIES, _depth_tables, depth_cap
 
@@ -211,6 +212,25 @@ def test_stack_raises_the_first_failing_states_message(first, later):
     with pytest.raises(InvalidStateError) as exc:
         _normalized(*np.array(rows).T)
     assert str(exc.value) == scalar_error(first)
+
+
+def test_row_check_reports_each_state_with_its_float_bits():
+    inf, nan = float("inf"), float("nan")
+    rows = ([s.as_tuple() for s in STATES]
+            + [(0.5, 0.5, -1e-16, 0.0), (-0.0, 1.0, 0.0, -0.0), (0.5, 0.5, -1e-9, 0.0),
+               (0.6, 0.5, 0.0, 0.0), (0.0,) * 4, (nan, 0.5, 0.5, 0.0), (inf, 0.0, 0.0, 0.0),
+               (inf, -inf, 1.0, 0.0), (-inf, 1.0, 0.0, 0.0), (1.0, nan, inf, -inf)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coeffs, ok = _normalized_rows(*np.array(rows).T)
+    assert (~ok).sum() == 8  # the last eight rows
+    for row, got, passed in zip(rows, np.array(coeffs).T.tolist(), ok):
+        try:
+            want = _normalized(*row)
+        except InvalidStateError:
+            assert not passed, row
+        else:
+            assert passed and [x.hex() for x in got] == [x.hex() for x in want], row
 
 
 @pytest.mark.parametrize("later", [(0.2, 0.8, 0.1, 0.0), (-1e-3, 0.5, 0.5, 0.0)])

@@ -203,6 +203,18 @@ class TestExpectedFidelityMC:
         with pytest.raises(ValueError):
             expected_fidelity_mc(5, WERNER_075, BACKUP, trials=0, seed=0)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one_worker_first(self, monkeypatch, workers):
+        import belldistil.iterative_scheme as scheme
+
+        def reached(*args):
+            raise AssertionError("the depth tables were built")
+
+        monkeypatch.setattr(scheme, "_depth_tables", reached)
+        with pytest.raises(ValueError) as exc:
+            expected_fidelity_mc(5, WERNER_075, BACKUP, 10, seed=0, workers=workers)
+        assert str(exc.value) == f"worker count must be >= 1, got {workers}"
+
     def test_stream_index_past_64_bits_is_rejected_first(self, monkeypatch):
         import belldistil.iterative_scheme as scheme
 

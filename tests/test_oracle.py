@@ -7,7 +7,7 @@ import pytest
 
 from belldistil import BellDiagonalState, NotBellDiagonalError, distill_step, werner
 from belldistil import oracle
-from belldistil.bell_core import StepOutcome
+from belldistil.bell_core import LOCC_FLOOR_COEFFS, StepOutcome
 from belldistil.oracle import (
     BELL_BASIS,
     ComparisonReport,
@@ -20,6 +20,10 @@ from belldistil.oracle import (
 )
 
 WERNER_075 = werner(0.75)
+
+#: A matrix on the Bell diagonal whose coefficients fail the state check:
+#: one lies below ``CLAMP_FLOOR``.
+BELOW_FLOOR = oracle._embed(np.array([[0.5, 0.5 + 1e-9, 0.0, -1e-9]]))[0]
 
 
 # float.hex() of every ComparisonReport field, taken from the per-sample
@@ -476,12 +480,16 @@ class TestStacks:
         single_off = np.zeros((4, 4), dtype=complex)
         single_off[0, 0] = 1.0  # |00><00| mixes Phi+ and Phi-
         single_imag = embed(WERNER_075) + 1e-6j * phi_plus
-        stack_trace, stack_off, stack_imag = (embed(_random_stack(seed))
-                                              for seed in (11, 12, 13))
+        single_state = embed(WERNER_075) * 1.1  # on the diagonal, no state
+        stack_trace, stack_off, stack_imag, stack_state = (
+            embed(_random_stack(seed)) for seed in (11, 12, 13, 15))
         stack_trace[5] *= 1.1
         stack_off[7, 0, 0] += 0.01
         stack_off[7, 3, 3] -= 0.01
         stack_imag[4] += 2.5e-9j * phi_plus
+        phi_minus = np.outer(BELL_BASIS[3], BELL_BASIS[3].conj())
+        stack_state[6] = (1 + 1e-9) * phi_plus - 1e-9 * phi_minus
+        stack_state[10] *= 1.1
         cases = [
             (validate_density_matrix, single_trace, "trace is (4+0j), expected 1"),
             (validate_density_matrix, stack_trace,
@@ -494,11 +502,24 @@ class TestStacks:
              "imaginary residue 9.999999999999995e-07 in Bell coefficients"),
             (bell_coefficients, stack_imag,
              "imaginary residue 2.4999999999999992e-09 in Bell coefficients"),
+            (bell_coefficients, single_state,
+             "coefficients sum to 1.0999999999999996, expected 1"),
+            (bell_coefficients, stack_state,
+             "negative coefficient -1.0000000393228505e-09 in "
+             "(1.0000000009999996, 0.0, 0.0, -1.0000000393228505e-09)"),
         ]
         for check, m, message in cases:
             with pytest.raises(ValueError) as err:
                 check(m)
             assert str(err.value) == message
+
+    def test_plain_numbers_in_results(self):
+        m = embed(WERNER_075)
+        for state in (bell_coefficients(m), *bell_coefficients(embed(_random_stack(16)))):
+            assert [type(x) for x in state.as_tuple()] == [float] * 4
+        full = dejmps_step_full(m)
+        assert type(full.p_success) is float
+        assert type(full.failure_reachable) is bool
 
     def test_memory_does_not_grow_with_samples(self):
         compare_with_closed_form(20, 0)  # warms up numpy
@@ -627,6 +648,55 @@ class TestDeviationScan:
         assert report.max_success_deviation == np.inf
         assert report.worst_state == seen[9]
         assert report.max_p_deviation < 1e-14 and report.max_failure_deviation < 1e-14
+
+    @pytest.mark.parametrize("read", ["sum 1.1", "below the clamp floor", "NaN", "zero"])
+    def test_read_that_is_no_state_is_infinite_in_its_row_only(self, read):
+        states = _random_stack(14)
+        stack = embed(states)
+        stack[9] = {
+            "sum 1.1": 1.1 * stack[9],
+            "below the clamp floor": BELOW_FLOOR,
+            "NaN": np.nan,
+            "zero": 0.0,
+        }[read]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dev = oracle._deviation(stack, [s.as_tuple() for s in states])
+        assert dev[9] == np.inf
+        assert np.delete(dev, 9).max() < 1e-15
+
+    @pytest.mark.parametrize("branch", ["success_m", "failure_m"])
+    def test_read_that_is_no_state_exits_one(self, capsys, monkeypatch, branch):
+        from belldistil import cli
+
+        step_full = oracle.dejmps_step_full
+
+        def corrupted(m):
+            full = step_full(m)
+            read = getattr(full, branch).copy()
+            if len(read) > 9:  # sample 9, in the first stack
+                read[9] = 1.1 * read[9] if branch == "success_m" else BELOW_FLOOR
+            return replace(full, **{branch: read})
+
+        step, seen = _counting_step(lambda i, out: out)
+        monkeypatch.setattr(oracle, "dejmps_step_full", corrupted)
+        monkeypatch.setattr(oracle, "compare_with_closed_form",
+                            lambda samples, seed: compare_with_closed_form(
+                                samples, seed, step_fn=step))
+        assert cli.main(["verify-oracle", "--samples", "20"]) == 1
+        out = capsys.readouterr().out
+        assert f"max {branch[:-2]} deviation inf\n" in out
+        assert out.endswith(f"verdict               FAIL (worst state {seen[9]})\n")
+
+    def test_failure_unreachable_on_both_sides_reads_the_locc_floor(self, monkeypatch):
+        coeffs = np.tile(LOCC_FLOOR_COEFFS, (16, 1))  # q = 2(a+b)(c+d) = 0
+        assert not distill_step(BellDiagonalState(*LOCC_FLOOR_COEFFS)).failure_reachable
+        assert not dejmps_step_full(oracle._embed(coeffs)).failure_reachable.any()
+        monkeypatch.setattr(oracle, "_random_states",
+                            lambda samples, seed: iter([(coeffs, oracle._embed(coeffs))]))
+        report = compare_with_closed_form(16, 0)
+        floor = oracle._deviation(oracle._LOCC_FLOOR, LOCC_FLOOR_COEFFS)[0]
+        assert report.max_failure_deviation == floor < 1e-15
 
     def test_wrong_pre_rotation_exits_one(self, capsys, monkeypatch):
         from belldistil import cli
