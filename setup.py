@@ -35,7 +35,11 @@ class BuildExt(build_ext):
 
 # The trajectory kernel and the exact table's binomial averaging are the
 # hand-written C file below; a C compiler and the Python headers are all the
-# build needs.
+# build needs.  With GCC 12 or later on x86-64, the C file also builds an
+# AVX-512 (x86-64-v4) clone of the averaging loop beside the baseline one,
+# and the loader picks one from the CPU at load time: no flag here selects
+# it.  -ffp-contract=off holds for both clones, and a vector multiply or
+# add rounds each lane as the scalar one does, so the bits are the same.
 setup(
     cmdclass={"build_ext": BuildExt},
     ext_modules=[

@@ -19,7 +19,11 @@
  * ``binomial_rows`` runs the survivor averaging of ``_exact_table`` in place,
  * one state's contiguous (row, slot) table after another, with the products
  * and sums of the numpy loop that the tests keep as its reference, so every
- * exact value keeps its bits.
+ * exact value keeps its bits.  With GCC 12 or later on x86-64 ELF, its loop
+ * is built twice, for AVX-512 (x86-64-v4) and for the SSE2 baseline, and
+ * the dynamic loader picks the clone the CPU runs.  The bits hold in both:
+ * each vector lane is multiplied and added as the scalar code does it, and
+ * -ffp-contract=off keeps every clone from fusing them into an FMA.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -319,11 +323,21 @@ simulate_philox(PyObject *self, PyObject *args, PyObject *kwargs)
                stop_at_two, failure_fidelity, out_obj, failed_obj);
 }
 
+/* The clones of the averaging loop (see the top of the file); GCC 12 is the
+ * oldest compiler they were checked with.  An ifunc resolver picks one at
+ * load time from what the CPU reports. */
+#if defined(__x86_64__) && defined(__ELF__) && !defined(__clang__) \
+    && defined(__GNUC__) && __GNUC__ >= 12
+#define VECTOR_CLONES __attribute__((target_clones("arch=x86-64-v4", "default")))
+#else
+#define VECTOR_CLONES
+#endif
+
 /* ``steps`` binomial averaging steps in place on one state's ``rows`` x ``m``
  * table ``w``; row 0 of step s goes to row s - 1 of ``after``.  Each element
  * is two products and their sum, in the order of the numpy loop it replaces;
  * setup.py turns off FMA contraction, which would round them once. */
-static void
+VECTOR_CLONES static void
 binomial_steps(double *restrict w, Py_ssize_t rows, Py_ssize_t m, double p,
                double *restrict after, Py_ssize_t steps)
 {

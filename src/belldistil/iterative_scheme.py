@@ -61,8 +61,8 @@ MC_TRIALS_CAP = 10_000_000
 MC_WORK_CAP = 8_000_000_000
 
 #: Largest states * n**2 accepted by an exact sweep, n its largest effective
-#: count.  A sweep at the cap, 4,768 states at n = 4096, takes about 50 s on
-#: one core (x86-64, 2 CPUs).
+#: count.  A sweep at the cap, 4,768 states at n = 4096, takes about 10 s on
+#: one core with AVX-512 (20 s on SSE2; x86-64, 2 CPUs).
 _EXACT_WORK_CAP = 80_000_000_000
 
 #: A coefficient stack is evaluated in chunks of states whose exact tables

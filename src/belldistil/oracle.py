@@ -84,13 +84,14 @@ def validate_density_matrix(m: np.ndarray) -> None:
     if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {m.shape}")
     ms = _stacked(m)
+    # each check is written to fail on NaN, which compares false
     asymmetry = np.abs(ms - ms.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    if (asymmetry > HERMITIAN_ATOL).any():
+    if not (asymmetry <= HERMITIAN_ATOL).all():
         raise ValueError("matrix is not Hermitian")
     trace = np.trace(ms, axis1=1, axis2=2)
-    if (i := _first(abs(trace - 1.0) > TRACE_ATOL)) is not None:
+    if (i := _first(~(abs(trace - 1.0) <= TRACE_ATOL))) is not None:
         raise ValueError(f"trace is {complex(trace[i])}, expected 1")
-    if (np.linalg.eigvalsh(ms).min(axis=1) < -PSD_ATOL).any():
+    if not (np.linalg.eigvalsh(ms).min(axis=1) >= -PSD_ATOL).all():
         raise ValueError("matrix is not positive semidefinite")
 
 
@@ -325,10 +326,12 @@ def compare_with_closed_form(
         i = int(np.argmax(deviation))
         if deviation[i] > max(dev_p, dev_s, dev_f):
             worst_state = tuple(coeffs[i].tolist())
-        dev_p, dev_s, dev_f = max(dev_p, dp.max()), max(dev_s, ds.max()), max(dev_f, df.max())
+        dev_p = max(dev_p, float(dp.max()))
+        dev_s = max(dev_s, float(ds.max()))
+        dev_f = max(dev_f, float(df.max()))
         if (k := min(len(coeffs), _ROTATION_SAMPLES - j * _ORACLE_STACK)) > 0:
             rotated = apply_rotation_pair(m[:k])  # (a, b, c, d) -> (a, d, c, b)
-            dev_r = max(dev_r, _deviation(rotated, coeffs[:k, [0, 3, 2, 1]]).max())
+            dev_r = max(dev_r, float(_deviation(rotated, coeffs[:k, [0, 3, 2, 1]]).max()))
     rotation = RotationReport(dev_r < 1e-12, dev_r, min(samples, _ROTATION_SAMPLES))
     return ComparisonReport(samples, dev_p, dev_s, dev_f, worst_state, rotation)
 

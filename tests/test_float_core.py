@@ -301,6 +301,22 @@ def test_binomial_rows_matches_the_numpy_loop(rows, slots, p, steps):
     assert w[:, : rows - steps].tolist() == want_w.tolist()
 
 
+def test_binomial_rows_matches_the_numpy_loop_at_every_vector_tail():
+    # the build may vectorize the loop 8 doubles wide: every row count up to
+    # 40 and slot count up to 17 leaves its own remainder for the peel and
+    # tail loops, and below 8 slots the read-ahead w[i + m] falls inside the
+    # vector being written
+    for rows in range(2, 41):
+        for slots in range(1, 18):
+            for p in ([0.77], [0.3, 0.5, 0.9]):
+                w, p, after = binomial_case(rows, slots, p, rows - 1)
+                want_after = np.full_like(after, np.nan)
+                want_w = reference_binomial_rows(w.copy(), p, want_after)
+                _kernels.binomial_rows(w, p, after)
+                assert after.tobytes() == want_after.tobytes(), (rows, slots, len(p))
+                assert w[:, :1].tobytes() == want_w.tobytes(), (rows, slots, len(p))
+
+
 def test_exact_table_matches_the_numpy_loop(monkeypatch):
     counts = list(range(1, 40)) + [300, 1023]
     stacked = _werner_stack(_a_grid(0.505, 0.995, 0.035))

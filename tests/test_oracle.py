@@ -1,6 +1,7 @@
+import json
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -256,6 +257,20 @@ class TestValidateDensityMatrix:
         m = np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="positive"):
             validate_density_matrix(m)
+
+    @pytest.mark.parametrize("check", [validate_density_matrix, dejmps_step_full])
+    def test_rejects_nan_by_a_named_check(self, check):
+        # NaN compares false, so a check written with > would let it through
+        # to eigvalsh, which fails with "Eigenvalues did not converge"
+        with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+            check(np.full((4, 4), np.nan, dtype=complex))
+
+    @pytest.mark.parametrize("check", [validate_density_matrix, dejmps_step_full])
+    def test_rejects_one_nan_sample_in_a_stack(self, check):
+        stack = embed(_random_stack(17))
+        stack[9, 2, 2] = np.nan
+        with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+            check(stack)
 
     @pytest.mark.parametrize("shape", [(16, 16), (2, 16, 16), (4,), (2, 2, 4, 4)])
     def test_rejects_other_shapes(self, shape):
@@ -520,6 +535,16 @@ class TestStacks:
         full = dejmps_step_full(m)
         assert type(full.p_success) is float
         assert type(full.failure_reachable) is bool
+
+    def test_comparison_report_dumps_to_json(self):
+        report = compare_with_closed_form(20, 0)
+        deviations = [report.max_p_deviation, report.max_success_deviation,
+                      report.max_failure_deviation, report.rotation.max_deviation]
+        assert [type(x) for x in deviations] == [float] * 4
+        assert type(report.rotation.passed) is bool
+        dumped = json.loads(json.dumps(asdict(report)))
+        assert dumped["max_p_deviation"] == report.max_p_deviation
+        assert dumped["rotation"] == asdict(report.rotation)
 
     def test_memory_does_not_grow_with_samples(self):
         compare_with_closed_form(20, 0)  # warms up numpy
