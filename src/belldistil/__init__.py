@@ -13,7 +13,6 @@ from .bell_core import (
     werner,
 )
 from .errors import (
-    FallbackAboveTargetError,
     InvalidStateError,
     NotBellDiagonalError,
     NotDistillableError,
@@ -44,7 +43,6 @@ __all__ = [
     "DROP_ONE",
     "NO_BACKUP",
     "BellDiagonalState",
-    "FallbackAboveTargetError",
     "InvalidStateError",
     "IterationPolicy",
     "NotBellDiagonalError",

@@ -113,8 +113,9 @@ def _werner_stack(grid: list[float]) -> np.ndarray:
 def _write_csv(path: str | None, header: list[str], rows: Iterable[str]) -> None:
     """Write the table to ``path``, or to stdout when no path is given.
 
-    ``rows`` holds each row's comma-joined cells and is read once, so a
-    generator never holds every row at once."""
+    ``rows`` holds each row's comma-joined cells.  It is read once and
+    joined with the header into one string before the single write, so the
+    whole table is held in memory even when ``rows`` is a generator."""
     text = "".join(row + "\n" for row in itertools.chain([",".join(header)], rows))
     if path is None:
         sys.stdout.write(text)
@@ -166,8 +167,7 @@ def cmd_nmin(args: argparse.Namespace) -> int:
     ]
     # each value and its round_up_even, written out as 2 * ceil(x / 2) but at
     # least 2 because a call per cell is a measurable share of the op; both
-    # cells stay empty where n_min has no value (no gain, or a fallback
-    # above the target)
+    # cells stay empty where n_min has no value (a round cannot gain fidelity)
     rows = (
         f"{a:.12g},"
         f"{',' if locc is None else f'{locc:.12g},{max(2, math.ceil(locc / 2) * 2)}'},"

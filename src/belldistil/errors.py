@@ -6,11 +6,8 @@ class InvalidStateError(ValueError):
 
 
 class NotDistillableError(ValueError):
-    """The input fidelity is at or below 1/2, so a step cannot gain fidelity."""
-
-
-class FallbackAboveTargetError(ValueError):
-    """The unsuccessful-case fidelity already meets or exceeds the target."""
+    """A step cannot gain fidelity: the input fidelity is at or below 1/2,
+    or the successful branch does not raise it."""
 
 
 class NotBellDiagonalError(ValueError):

@@ -21,7 +21,7 @@ from .bell_core import (
     _success_weight,
     success_probability,
 )
-from .errors import FallbackAboveTargetError, NotDistillableError
+from .errors import NotDistillableError
 
 #: Above this number of trials, binomial weights switch from exact integer
 #: arithmetic to log-gamma evaluation to avoid overflow.
@@ -97,30 +97,21 @@ def avg_fidelity_one_round(
 ) -> float:
     """Round-averaged fidelity: all-fail weight takes F_u, the rest F(success)."""
     _require_even(n)
-    coeffs = s.as_tuple()
-    p = _success_weight(*coeffs)
-    p_all_fail = (1.0 - p) ** (n // 2)
-    f_u = unsuccessful_fidelity(s, conv)
-    return p_all_fail * f_u + (1.0 - p_all_fail) * _success_coeffs(*coeffs, p)[0]
+    f_s, f_u, fail = _round_terms(s.as_tuple(), conv)
+    p_all_fail = fail ** (n // 2)
+    return p_all_fail * f_u + (1.0 - p_all_fail) * f_s
 
 
-def _n_min_terms(coeffs, conv: UnsuccessfulConvention):
+def _round_terms(coeffs, conv: UnsuccessfulConvention):
     """Success fidelity, fallback fidelity F_u and failure weight 1 - p of
     one step, for one state's coefficients or a coefficient stack."""
     p = _success_weight(*coeffs)
     return _success_coeffs(*coeffs, p)[0], _fallback_fidelity(coeffs, conv), 1.0 - p
 
 
-def _log(x):
-    """``math.log``, elementwise for arrays: ``np.log`` differs from it in
-    the last bit of some inputs."""
-    return np.array(list(map(math.log, x.tolist()))) if isinstance(x, np.ndarray) else math.log(x)
-
-
-def _n_min(a, f_s, f_u, fail):
-    """The sample size of :func:`n_min` from its terms, for floats or for
-    arrays of states that it accepts."""
-    return 2.0 * _log((a - f_s) / (f_u - f_s)) / _log(fail)
+def _log(x: np.ndarray) -> np.ndarray:
+    """``math.log`` per value; ``np.log`` differs in the last bit for some inputs."""
+    return np.array(list(map(math.log, x.tolist())))
 
 
 def n_min(
@@ -130,32 +121,27 @@ def n_min(
 
     Returns the real-valued solution; use :func:`round_up_even` for a
     usable sample size.  Raises :class:`NotDistillableError` when the step
-    cannot gain fidelity (a <= 1/2) and :class:`FallbackAboveTargetError`
-    when F_u already meets the target fidelity.
+    cannot gain fidelity (a <= 1/2, or F(success) <= a).  F_u is at most
+    1/2 under both conventions, so it is always below the target a.
 
-    For a ``(4, k)`` coefficient stack, checked first and used as given,
-    the maps run once over all k states and the result is a list with one
-    value per state, None where the call on that state alone would raise
-    one of those two errors.
+    A state is evaluated as a stack of one.  For a ``(4, k)`` coefficient
+    stack, checked first and used as given, the maps run once over all k
+    states and the result is a list with one value per state, None where
+    the call on that state alone would raise.
     """
-    if isinstance(s, BellDiagonalState):
-        a, (f_s, f_u, fail) = s.a, _n_min_terms(s.as_tuple(), conv)
-        if a <= 0.5 or f_s <= a:
-            raise NotDistillableError(
-                f"fidelity {a!r} cannot be increased by a distillation step"
-            )
-        if f_u >= a:
-            raise FallbackAboveTargetError(
-                f"fallback fidelity {f_u!r} already >= target {a!r}"
-            )
-        return _n_min(a, f_s, f_u, fail)
-    s = _checked_stack(s)
-    a, f_s, f_u, fail = np.broadcast_arrays(s[0], *_n_min_terms(s, conv))
-    # the states that the float call rejects, by its own comparisons
-    keep = ~((a <= 0.5) | (f_s <= a) | (f_u >= a))
+    single = isinstance(s, BellDiagonalState)
+    stack = np.array(s.as_tuple())[:, None] if single else _checked_stack(s)
+    a, f_s, f_u, fail = np.broadcast_arrays(stack[0], *_round_terms(stack, conv))
+    keep = ~((a <= 0.5) | (f_s <= a))
+    a, f_s, f_u, fail = (x[keep] for x in (a, f_s, f_u, fail))
     values = np.full(keep.shape, None)
-    values[keep] = _n_min(a[keep], f_s[keep], f_u[keep], fail[keep])
-    return values.tolist()
+    values[keep] = 2.0 * _log((a - f_s) / (f_u - f_s)) / _log(fail)
+    values = values.tolist()
+    if single and values[0] is None:
+        raise NotDistillableError(
+            f"fidelity {s.a!r} cannot be increased by a distillation step"
+        )
+    return values[0] if single else values
 
 
 def round_up_even(x: float) -> int:

@@ -5,10 +5,14 @@ memoization.  Every per-round success/failure pattern is enumerated as an
 explicit bitstring and weighted by its product probability, so agreement
 with the dynamic program is a genuine cross-check.  numpy only lists the
 patterns and multiplies out their weights; each pattern is still followed
-on its own.
+on its own.  The one exception, :func:`deepest_round`, carries no weights:
+it is a memoized search over survivor counts, checked against the
+enumeration where that is small enough to run.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -73,3 +77,31 @@ def enumerate_expectation(
         )
 
     return rec(n, 0, None, 1.0), max_depth
+
+
+def deepest_round(n: int, policy: IterationPolicy) -> int:
+    """The deepest round index of :func:`enumerate_expectation`, by a search
+    over survivor counts.
+
+    The depth a run reaches depends only on how many steps succeed in each
+    round, not on which ones nor on the state, so trying every count
+    0 .. live/2 under the same rules (drop one, odd backup, stop at two)
+    reaches every (live, backup) that the patterns reach.
+    """
+    if n < 1:
+        raise ValueError(n)
+    if policy.drop_one_when_even and n % 2 == 0:
+        n -= 1
+    return _rounds_left(n, False, policy)
+
+
+@functools.cache
+def _rounds_left(live: int, has_backup: bool, policy: IterationPolicy) -> int:
+    """Rounds that the longest run starting a round on ``live`` pairs still
+    makes; shared across n, since it does not depend on the depth."""
+    if live <= 1 or (live == 2 and not has_backup and policy.stop_at_two_without_backup):
+        return 0
+    if live % 2:
+        has_backup = has_backup or policy.backup_enabled
+        live -= 1
+    return 1 + max(_rounds_left(j, has_backup, policy) for j in range(live // 2 + 1))

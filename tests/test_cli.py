@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belldistil import (
-    FallbackAboveTargetError,
     NotDistillableError,
     ResourceCapError,
     UnsuccessfulConvention,
@@ -497,7 +496,7 @@ def test_nmin_rows_match_n_min_and_round_up_even(capsys):
         for conv, cells in zip(convs, (row[1:3], row[3:])):
             try:
                 value = n_min(werner(a), conv)
-            except (NotDistillableError, FallbackAboveTargetError):
+            except NotDistillableError:
                 empty += 1
                 assert cells == ["", ""]
             else:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,12 @@ from belldistil import (
     survivor_pmf,
     werner,
 )
-from belldistil.finite_ensemble import binomial_pmf, unsuccessful_fidelity
+from belldistil.bell_core import _failure_coeffs
+from belldistil.finite_ensemble import (
+    _fallback_fidelity,
+    binomial_pmf,
+    unsuccessful_fidelity,
+)
 
 from enumeration import pattern_pmf
 
@@ -107,11 +113,37 @@ class TestNMin:
         assert n_min(werner(0.51), COND) > n_min(werner(0.51), LOCC)
 
     def test_not_distillable(self):
-        with pytest.raises(NotDistillableError):
+        message = "fidelity {} cannot be increased by a distillation step"
+        with pytest.raises(NotDistillableError,
+                           match=re.escape(message.format("0.4000000000000001"))):
             n_min(werner(0.4), LOCC)
         # a > 1/2 alone does not guarantee a fidelity gain either
-        with pytest.raises(NotDistillableError):
+        with pytest.raises(NotDistillableError, match=re.escape(message.format("0.6"))):
             n_min(BellDiagonalState(0.6, 0.4, 0.0, 0.0), LOCC)
+
+    def test_fallback_fidelity_is_at_most_one_half(self):
+        # F_u = a'/(((a' + b') + c') + d') with c' == a' bit for bit, so the
+        # total is at least 2a' in floating point too: F_u <= 1/2 < a for
+        # every state that n_min accepts, and its fallback never meets the
+        # target
+        rng = np.random.default_rng(22)
+        near_half = rng.random((4, 100_000)) * [[1e-6], [1e-8], [0.0], [1e-8]]
+        near_half[0] += 0.5
+        near_half[2] = 1.0 - near_half[0] - near_half[1] - near_half[3]
+        stacks = [rng.dirichlet(np.full(4, alpha), size=100_000).T
+                  for alpha in (1.0, 0.05, 5.0)] + [near_half]
+        for stack in stacks:
+            assert _fallback_fidelity(stack, COND).max() <= 0.5
+            assert _fallback_fidelity(stack, LOCC) == 0.5
+        # no Psi- or Phi- weight: the failure state is an even mix of Phi+
+        # and Psi+; an unreachable failure reads the LOCC floor
+        a = np.linspace(0.0, 1.0, 1001)
+        zero = np.zeros_like(a)
+        even_mix = np.array([a, zero, 1.0 - a, zero])
+        assert (_fallback_fidelity(even_mix, COND) == 0.5).all()
+        for unreachable in [(1, 0, 0, 0), (0.6, 0.4, 0, 0), (0, 0, 0.3, 0.7)]:
+            assert not _failure_coeffs(*unreachable)[1]
+            assert unsuccessful_fidelity(BellDiagonalState(*unreachable), COND) == 0.5
 
     def test_bracketing_on_even_sample_sizes(self):
         for a in np.linspace(0.56, 0.94, 20):

@@ -22,7 +22,6 @@ from belldistil import (
     DROP_ONE,
     NO_BACKUP,
     BellDiagonalState,
-    FallbackAboveTargetError,
     InvalidStateError,
     IterationPolicy,
     NotDistillableError,
@@ -80,8 +79,8 @@ def public_n_min(s, conv):
         f_u = 0.5
     else:
         f_u = step.failure_state.a
-    if f_u >= s.a:
-        raise FallbackAboveTargetError("fallback above target")
+    # F_u <= 1/2 < a, so the fallback never meets the target
+    assert f_u < s.a
     return 2.0 * math.log((s.a - f_s) / (f_u - f_s)) / math.log(1.0 - step.p_success)
 
 

@@ -34,7 +34,7 @@ from belldistil.iterative_scheme import (
     depth_cap,
 )
 
-from enumeration import enumerate_expectation
+from enumeration import deepest_round, enumerate_expectation
 
 WERNER_075 = werner(0.75)
 F1 = 41 / 52
@@ -156,15 +156,20 @@ class TestExpectedFidelityExact:
             assert dropped == pytest.approx(odd, abs=1e-12)
             assert dropped >= kept - 1e-12
 
-    def test_depth_bound(self):
-        for n in (2, 3, 5, 8, 13, 21, 32):
-            _, deepest = enumerate_expectation(n, WERNER_075, BACKUP)
-            assert deepest <= depth_cap(n)
-        # the bound is tight: without the stop at two, some run reaches it
+    def test_count_search_reaches_the_depths_of_the_patterns(self):
         relaxed = IterationPolicy(stop_at_two_without_backup=False)
-        for n in (1, 2, 3, 5, 8, 13, 21):
-            _, deepest = enumerate_expectation(n, WERNER_075, relaxed)
-            assert deepest == depth_cap(n), n
+        for policy in (BACKUP, relaxed):
+            for n in range(1, 22):
+                _, deepest = enumerate_expectation(n, WERNER_075, policy)
+                assert deepest_round(n, policy) == deepest, (n, policy)
+
+    def test_depth_bound(self):
+        relaxed = IterationPolicy(stop_at_two_without_backup=False)
+        for n in range(1, 1025):
+            for policy in (BACKUP, NO_BACKUP, DROP_ONE):
+                assert deepest_round(n, policy) <= depth_cap(n), (n, policy)
+            # the bound is tight: without the stop at two, some run reaches it
+            assert deepest_round(n, relaxed) == depth_cap(n), n
 
     def test_depth_tables_end_at_the_all_success_run(self):
         for n in range(1, 4097):
