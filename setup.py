@@ -9,8 +9,8 @@ from setuptools.errors import CompileError
 #: Has GNU as pad jumps away from 32-byte boundaries.  Intel's microcode fix
 #: for the JCC erratum slows a loop on Skylake-derived x86 cores when its
 #: closing jump crosses such a boundary: the averaging loop of
-#: ``binomial_rows`` ran 20-30% slower when an edit elsewhere in the file
-#: moved it onto one.
+#: the exact expectation (``binomial_steps``) ran 20-30% slower when an edit
+#: elsewhere in the file moved it onto one.
 JUMP_PADDING = "-Wa,-mbranches-within-32B-boundaries"
 
 
@@ -33,9 +33,9 @@ class BuildExt(build_ext):
         super().build_extensions()
 
 
-# The trajectory kernel and the exact table's binomial averaging are the
-# hand-written C file below; a C compiler and the Python headers are all the
-# build needs.  With GCC 12 or later on x86-64, the C file also builds an
+# The trajectory kernel and the exact expectation's backward induction are
+# the hand-written C file below; a C compiler and the Python headers are all
+# the build needs.  With GCC 12 or later on x86-64, the C file also builds an
 # AVX-512 (x86-64-v4) clone of the averaging loop beside the baseline one,
 # and the loader picks one from the CPU at load time: no flag here selects
 # it.  -ffp-contract=off holds for both clones, and a vector multiply or

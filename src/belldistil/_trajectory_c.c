@@ -1,4 +1,4 @@
-/* Compiled trajectory kernel and the exact table's binomial averaging.
+/* Compiled trajectory kernel and the exact expectation's backward induction.
  *
  * Trajectory semantics are identical to ``_trajectory_py``; see that module
  * for the reference loop.  ``simulate`` reads its uniforms from a caller's
@@ -13,21 +13,40 @@
  *
  * The arrays arrive through the buffer protocol and are checked for dtype,
  * dimensions, contiguity, writability and size before any element is
- * touched.  The loop releases the GIL, so callers may split the trial axis
+ * touched.  The loops release the GIL, so callers may split the trial axis
  * across threads.
  *
- * ``binomial_rows`` runs the survivor averaging of ``_exact_table`` in place,
- * one state's contiguous (row, slot) table after another, with the products
- * and sums of the numpy loop that the tests keep as its reference, so every
- * exact value keeps its bits.  With GCC 12 or later on x86-64 ELF, its loop
- * is built twice, for AVX-512 (x86-64-v4) and for the SSE2 baseline, and
- * the dynamic loader picks the clone the CPU runs.  The bits hold in both:
- * each vector lane is multiplied and added as the scalar code does it, and
- * -ffp-contract=off keeps every clone from fusing them into an FMA.
+ * ``exact_expectations`` runs the backward induction of ``_exact_table``
+ * one state after another, on two tables of O(n) doubles that it allocates
+ * once per call, and writes only the requested counts.  It averages only
+ * the backup slots that the requested counts read: one slot at every depth
+ * without backups, and at depth 0 only the parities of the counts.  Each
+ * slot is averaged on its own, so leaving one out moves no bit of the
+ * others, and the products and sums are those of the numpy loop that the
+ * tests keep as its reference: every exact value keeps its bits.  With GCC
+ * 12 or later on x86-64 ELF, its averaging loop is built twice, for
+ * AVX-512 (x86-64-v4) and for the SSE2 baseline, and the dynamic loader
+ * picks the clone the CPU runs.  The bits hold in both: each vector lane is
+ * multiplied and added as the scalar code does it, and -ffp-contract=off
+ * keeps every clone from fusing them into an FMA.
+ *
+ * Near purity the averaging drives table entries below DBL_MIN, and every
+ * subnormal operand or result costs the CPU a microcode assist.  On x86-64
+ * the induction therefore sets flush-to-zero and denormals-are-zero in
+ * MXCSR once it has released the GIL, and restores MXCSR before it takes
+ * the GIL back.  MXCSR belongs to the thread, so no other thread and no
+ * later Python arithmetic sees the mode.  An entry that would fall below
+ * DBL_MIN reads 0.  An output is one minus an average of entries, far
+ * above DBL_MIN wherever it differs from 1, and every output that the
+ * tests pin or compare with the numpy loop keeps its bits.  Other targets
+ * keep subnormals and run slower.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
+#ifdef __x86_64__
+#include <xmmintrin.h>
+#endif
 
 /* Blocks filled per batch before counting: 64 blocks of 4 doubles. */
 #define BATCH 64
@@ -333,23 +352,124 @@ simulate_philox(PyObject *self, PyObject *args, PyObject *kwargs)
 #define VECTOR_CLONES
 #endif
 
-/* ``steps`` binomial averaging steps in place on one state's ``rows`` x ``m``
- * table ``w``; row 0 of step s goes to row s - 1 of ``after``.  Each element
- * is two products and their sum, in the order of the numpy loop it replaces;
- * setup.py turns off FMA contraction, which would round them once. */
+/* The rows of depth d's table whose counts are 2s and 2s + 1 average the
+ * deeper table ``w`` (top / 2 + 1 rows of ``m`` slots) over the survivors
+ * of s steps: Binomial(s, p) of them is row 0 of ``(q + p * shift)**s``
+ * applied to ``w``, and step s leaves that row in row 0 of ``w``.  Row 2s of
+ * the ``mv``-slot table ``v`` takes the first ``mv`` slots of it; row
+ * 2s + 1 stores one pair at this depth, in the last slot of ``w``, or
+ * discards it and takes the same slots.  Each element is two products and
+ * their sum, in the order of the numpy loop that the tests keep as its
+ * reference; setup.py turns off FMA contraction, which would round them
+ * once. */
 VECTOR_CLONES static void
-binomial_steps(double *restrict w, Py_ssize_t rows, Py_ssize_t m, double p,
-               double *restrict after, Py_ssize_t steps)
+binomial_steps(double *restrict w, Py_ssize_t m, double p, Py_ssize_t top,
+               double *restrict v, Py_ssize_t mv, int backup_enabled)
 {
     const double q = 1.0 - p;
+    const Py_ssize_t rows = top / 2 + 1;
     Py_ssize_t step, end, i;
+    double *row;
 
-    for (step = 1; step <= steps; step++) {
+    for (step = 1; 2 * step <= top; step++) {
         end = (rows - step) * m;
         for (i = 0; i < end; i++)
             w[i] = q * w[i] + p * w[i + m];
-        memcpy(after + (step - 1) * m, w, (size_t)m * sizeof *w);
+        row = v + 2 * step * mv;
+        memcpy(row, w, (size_t)mv * sizeof *w);
+        if (2 * step + 1 > top)
+            break;
+        row += mv;
+        if (backup_enabled)
+            for (i = 0; i < mv; i++)
+                row[i] = w[m - 1];
+        else
+            memcpy(row, w, (size_t)mv * sizeof *w);
     }
+}
+
+/* Depths and slots past any count a Py_ssize_t holds. */
+#define MAX_DEPTHS 64
+
+/* The columns of one call's tables, the same for every state.  A column
+ * holds one backup slot: 0 for none, k + 1 for a backup stored at depth k.
+ * The table at depth d holds rows 0 .. n >> d and, at d >= 1, the slots
+ * ``slot[0 .. width[d] - 1]``: the ones that some row at depth d - 1 reads.
+ * At depth 0 it holds slot 0 alone. */
+typedef struct {
+    Py_ssize_t n, depth_cap;
+    Py_ssize_t slot[MAX_DEPTHS], width[MAX_DEPTHS];
+    int backup_enabled, stop_at_two;
+    double failure_loss;
+} plan;
+
+/* Lays out ``pl`` for counts up to ``pl->n`` of the parities given: an even
+ * count reads slot 0 at depth 1, an odd one (3 or more) the slot of a backup
+ * stored at depth 0, or slot 0 when backups are off.  Returns the doubles
+ * of the largest table, or -1 when two such tables would not fit in
+ * PY_SSIZE_T_MAX bytes. */
+static Py_ssize_t
+lay_out(plan *pl, int has_even, int has_odd)
+{
+    const Py_ssize_t limit = PY_SSIZE_T_MAX / (Py_ssize_t)(2 * sizeof(double));
+    Py_ssize_t d, m = 0, size = 0, entries;
+
+    for (pl->depth_cap = 0; pl->n >> (pl->depth_cap + 1); pl->depth_cap++)
+        ;
+    if (has_even || (has_odd && !pl->backup_enabled))
+        pl->slot[m++] = 0;
+    if (has_odd && pl->backup_enabled)
+        pl->slot[m++] = 1;
+    pl->width[0] = 1;
+    for (d = 1; d <= pl->depth_cap; d++) {
+        pl->width[d] = m;
+        /* an odd count of 3 or more at depth d stores a backup there */
+        if (pl->backup_enabled && (pl->n >> d) >= 3)
+            pl->slot[m++] = d + 1;
+    }
+    for (d = 0; d <= pl->depth_cap; d++) {
+        if ((pl->n >> d) >= limit / pl->width[d])
+            return -1;
+        entries = ((pl->n >> d) + 1) * pl->width[d];
+        if (entries > size)
+            size = entries;
+    }
+    return size;
+}
+
+/* One state's backward induction over depth, on the tables ``a`` and ``b``
+ * in turn; ``fid`` and ``psucc`` are its depth tables, ``stride`` doubles
+ * apart.  Returns its table at depth 0.  A table holds one minus the
+ * expectation on entering a depth: averaging the small infidelity instead
+ * of the fidelity keeps the rounding of the branch averages relative to
+ * it. */
+static const double *
+induction(const plan *pl, const double *fid, const double *psucc,
+          Py_ssize_t stride, double *a, double *b)
+{
+    double loss[MAX_DEPTHS], *swap;
+    Py_ssize_t d, i, mv, slot;
+
+    for (d = 0; d <= pl->depth_cap; d++)
+        loss[d] = 1.0 - fid[d * stride];
+    for (d = pl->depth_cap; d >= 0; d--) {
+        mv = pl->width[d];
+        for (i = 0; i < mv; i++) {
+            slot = d > 0 ? pl->slot[i] : 0;
+            b[i] = slot == 0 ? pl->failure_loss : loss[slot - 1];
+            b[mv + i] = loss[d];
+        }
+        if (d < pl->depth_cap) {
+            binomial_steps(a, pl->width[d + 1], psucc[d * stride],
+                           pl->n >> d, b, mv, pl->backup_enabled);
+            if (pl->stop_at_two && (d == 0 || pl->slot[0] == 0))
+                b[2 * mv] = loss[d];
+        }
+        swap = a;
+        a = b;
+        b = swap;
+    }
+    return a;
 }
 
 /* Whether the buffers of ``a`` and ``b`` share a byte. */
@@ -360,65 +480,117 @@ overlap(const Py_buffer *a, const Py_buffer *b)
            && (char *)b->buf < (char *)a->buf + a->len;
 }
 
-PyDoc_STRVAR(binomial_rows_doc,
-"binomial_rows(w, p, after)\n"
+/* The struct format of numpy's int64 arrays. */
+#define INT64_FORMAT (sizeof(long) == 8 ? "l" : "q")
+
+PyDoc_STRVAR(exact_expectations_doc,
+"exact_expectations(fid, psucc, counts, backup_enabled, stop_at_two,\n"
+"                   failure_fidelity, out)\n"
 "--\n\n"
-"For each state j and s = 1 .. after.shape[1], set\n"
-"``w[j, i] = (1 - p[j]) * w[j, i] + p[j] * w[j, i + 1]`` for the first\n"
-"w.shape[1] - s rows and copy row 0 of ``w[j]`` to ``after[j, s - 1]``.");
+"Set ``out[j, i]`` to the exact expected fidelity of the state whose depth\n"
+"tables are column j of ``fid`` and ``psucc`` on ``counts[i]`` pairs.");
 
 static PyObject *
-binomial_rows(PyObject *self, PyObject *args, PyObject *kwargs)
+exact_expectations(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *keywords[] = {"w", "p", "after", NULL};
-    PyObject *w_obj, *p_obj, *after_obj, *result = NULL;
-    Py_buffer w, p, after;
-    Py_ssize_t k, rows, m, steps, j;
+    static char *keywords[] = {
+        "fid", "psucc", "counts", "backup_enabled", "stop_at_two",
+        "failure_fidelity", "out", NULL};
+    PyObject *fid_obj, *psucc_obj, *counts_obj, *out_obj, *result = NULL;
+    Py_buffer fid, psucc, counts, out;
+    plan pl = {.n = 1};
+    Py_ssize_t states, ncounts, size, i, j;
+    double failure_fidelity, *scratch;
+    int has_even = 0, has_odd = 0;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:binomial_rows",
-                                     keywords, &w_obj, &p_obj, &after_obj))
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwargs, "OOOppdO:exact_expectations", keywords, &fid_obj,
+            &psucc_obj, &counts_obj, &pl.backup_enabled, &pl.stop_at_two,
+            &failure_fidelity, &out_obj))
         return NULL;
-    if (get_array(w_obj, &w, "w", 3, "d", 1) < 0)
+    pl.failure_loss = 1.0 - failure_fidelity;
+    if (get_array(fid_obj, &fid, "fid", 2, "d", 0) < 0)
         return NULL;
-    if (get_array(p_obj, &p, "p", 1, "d", 0) < 0)
-        goto release_w;
-    if (get_array(after_obj, &after, "after", 3, "d", 1) < 0)
-        goto release_p;
+    if (get_array(psucc_obj, &psucc, "psucc", 2, "d", 0) < 0)
+        goto release_fid;
+    if (get_array(counts_obj, &counts, "counts", 1, INT64_FORMAT, 0) < 0)
+        goto release_psucc;
+    if (get_array(out_obj, &out, "out", 2, "d", 1) < 0)
+        goto release_counts;
 
-    k = w.shape[0];
-    rows = w.shape[1];
-    m = w.shape[2];
-    steps = after.shape[1];
-    if (p.shape[0] != k || after.shape[0] != k)
+    states = fid.shape[1];
+    ncounts = counts.shape[0];
+    for (i = 0; i < ncounts; i++) {
+        int64_t c = ((const int64_t *)counts.buf)[i];
+
+        if (c < 1) {
+            PyErr_Format(PyExc_ValueError, "counts must be >= 1, got %lld",
+                         (long long)c);
+            goto release_out;
+        }
+        if (c > pl.n)
+            pl.n = (Py_ssize_t)c;
+        has_even |= c % 2 == 0;
+        has_odd |= c % 2 == 1 && c >= 3;
+    }
+    size = lay_out(&pl, has_even, has_odd);
+    if (psucc.shape[0] != fid.shape[0] || psucc.shape[1] != states)
         PyErr_Format(PyExc_ValueError,
-                     "w, p and after need the same states, got %zd, %zd and %zd",
-                     k, p.shape[0], after.shape[0]);
-    else if (after.shape[2] != m)
+                     "fid and psucc need the same shape, got (%zd, %zd) and (%zd, %zd)",
+                     fid.shape[0], states, psucc.shape[0], psucc.shape[1]);
+    else if (fid.shape[0] <= pl.depth_cap)
         PyErr_Format(PyExc_ValueError,
-                     "w and after need the same slots, got %zd and %zd",
-                     m, after.shape[2]);
-    else if (steps >= rows)
+                     "fid and psucc need %zd depths for n = %zd, got %zd",
+                     pl.depth_cap + 1, pl.n, fid.shape[0]);
+    else if (out.shape[0] != states || out.shape[1] != ncounts)
         PyErr_Format(PyExc_ValueError,
-                     "after needs fewer rows than w, got %zd and %zd",
-                     steps, rows);
-    else if (overlap(&w, &after) || overlap(&p, &w) || overlap(&p, &after))
-        PyErr_SetString(PyExc_ValueError, "w, p and after must not overlap");
+                     "out needs shape (%zd, %zd), got (%zd, %zd)",
+                     states, ncounts, out.shape[0], out.shape[1]);
+    else if (overlap(&out, &fid) || overlap(&out, &psucc)
+             || overlap(&out, &counts))
+        PyErr_SetString(PyExc_ValueError,
+                        "out must not overlap fid, psucc or counts");
+    else if (size < 0
+             || (scratch = PyMem_Malloc(2 * (size_t)size * sizeof *scratch)) == NULL)
+        PyErr_NoMemory();
     else {
-        const double *ps = p.buf;
+        const double *fs = fid.buf, *ps = psucc.buf, *table;
+        const int64_t *cs = counts.buf;
+        double *o = out.buf;
+#ifdef __x86_64__
+        unsigned int csr;
+#endif
 
         Py_BEGIN_ALLOW_THREADS
-        for (j = 0; j < k; j++)
-            binomial_steps((double *)w.buf + j * rows * m, rows, m, ps[j],
-                           (double *)after.buf + j * steps * m, steps);
+#ifdef __x86_64__
+        /* flush-to-zero and denormals-are-zero for this thread's SSE and
+         * AVX arithmetic until the GIL is taken back (see the top of the
+         * file) */
+        csr = _mm_getcsr();
+        _mm_setcsr(csr | 0x8040);
+#endif
+        for (j = 0; j < states; j++) {
+            table = induction(&pl, fs + j, ps + j, states, scratch,
+                              scratch + size);
+            for (i = 0; i < ncounts; i++)
+                o[j * ncounts + i] = 1.0 - table[cs[i]];
+        }
+#ifdef __x86_64__
+        _mm_setcsr(csr);
+#endif
         Py_END_ALLOW_THREADS
+        PyMem_Free(scratch);
         result = Py_NewRef(Py_None);
     }
 
-    PyBuffer_Release(&after);
-release_p:
-    PyBuffer_Release(&p);
-release_w:
-    PyBuffer_Release(&w);
+release_out:
+    PyBuffer_Release(&out);
+release_counts:
+    PyBuffer_Release(&counts);
+release_psucc:
+    PyBuffer_Release(&psucc);
+release_fid:
+    PyBuffer_Release(&fid);
     return result;
 }
 
@@ -427,15 +599,15 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS, simulate_doc},
     {"simulate_philox", (PyCFunction)(void (*)(void))simulate_philox,
      METH_VARARGS | METH_KEYWORDS, simulate_philox_doc},
-    {"binomial_rows", (PyCFunction)(void (*)(void))binomial_rows,
-     METH_VARARGS | METH_KEYWORDS, binomial_rows_doc},
+    {"exact_expectations", (PyCFunction)(void (*)(void))exact_expectations,
+     METH_VARARGS | METH_KEYWORDS, exact_expectations_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     "belldistil._trajectory_c",
-    "Compiled trajectory kernel and the exact table's binomial averaging.",
+    "Compiled trajectory kernel and the exact expectation's backward induction.",
     -1,
     methods,
 };

@@ -3,13 +3,13 @@
 Each round processes the live pairs two at a time; survivors of a round are
 one iteration deeper in the success map.  When the live count is odd one
 pair can be stored as a backup and used if everything later fails.  The
-expectation of the final fidelity is computed two ways: exactly, by
-backward induction over depth on a table over (live count, backup depth)
-that gives every starting count up to N at once, and by seeded Monte Carlo
-over individual trajectories, whose Philox uniforms the kernel computes
-from their stream indices as a trajectory reads them.  ``sweep_over_n``
-answers every exact query, from one table at the largest count, for one
-state or for a whole coefficient stack at once.
+expectation of the final fidelity is computed two ways: exactly, by a
+compiled backward induction over depth on a table over (live count, backup
+depth) that answers any set of starting counts up to N in one pass, and by
+seeded Monte Carlo over individual trajectories, whose Philox uniforms the
+kernel computes from their stream indices as a trajectory reads them.
+``sweep_over_n`` answers every exact query, from one induction at the
+largest count, for one state or for a whole coefficient stack at once.
 
 The per-run iteration rules, in dispatch order on the current live count n:
 
@@ -61,13 +61,15 @@ MC_TRIALS_CAP = 10_000_000
 MC_WORK_CAP = 8_000_000_000
 
 #: Largest states * n**2 accepted by an exact sweep, n its largest effective
-#: count.  A sweep at the cap, 4,768 states at n = 4096, takes about 10 s on
-#: one core with AVX-512 (20 s on SSE2; x86-64, 2 CPUs).
+#: count.  A sweep at the cap, 4,768 Werner states at n = 4096, takes about
+#: 3 s on one core with AVX-512 (6 s on SSE2; x86-64, 2 CPUs).
 _EXACT_WORK_CAP = 80_000_000_000
 
-#: A coefficient stack is evaluated in chunks of states whose exact tables
-#: hold at most this many (state, starting count) entries, about 32 bytes
-#: each at the peak: the tables, not the returned lists, stay near 2.5 MB.
+#: A coefficient stack is evaluated in chunks of this many (state, starting
+#: count) entries, 2**16 // (n + 1) states for the largest effective count n.
+#: A chunk's depth tables, their temporaries and its ``out`` peak at 2.4 MB
+#: under tracemalloc (21,845 states at n = 2; 0.07 MB at n = 4096); the
+#: induction's two scratch tables are allocated per call, not per state.
 _STACK_ENTRIES = 2**16
 
 
@@ -147,45 +149,34 @@ def fully_successful_fidelity(s0: BellDiagonalState, n: int) -> float:
 
 
 def _exact_table(
-    fid: np.ndarray, psucc: np.ndarray, n: int, policy: IterationPolicy
+    fid: np.ndarray, psucc: np.ndarray, counts: list[int], policy: IterationPolicy
 ) -> np.ndarray:
-    """Exact expectation for every starting count 0 .. n, by backward
-    induction over depth on depth tables that reach at least depth_cap(n).
+    """Exact expectation for each starting count in ``counts``, by backward
+    induction over depth on depth tables that reach at least
+    depth_cap(max(counts)); a trailing state axis of the depth tables leads
+    the result.
 
-    ``value[..., live, slot]`` is one minus the expectation on entering a
-    depth with ``live`` pairs; slot 0 means no backup and slot k + 1 a backup
-    stored at depth k, so the table at depth d has d + 1 slots.  Averaging
-    the small infidelity instead of the fidelity keeps the rounding of the
-    branch averages relative to it.  The average over Binomial(m, p)
-    survivors is row 0 of ``(q + p * shift)**m`` applied to the deeper
-    table; the compiled ``_kernels.binomial_rows`` takes those steps in
-    place, and the tests keep the numpy loop it replaced as its reference.
-    A trailing state axis of the depth tables leads here, so each state's
-    table is contiguous; every operation is elementwise along it.
+    The compiled ``_kernels.exact_expectations`` runs the induction, one
+    state at a time.  Its table at each depth holds one minus the
+    expectation on entering that depth, per live count and backup slot (no
+    backup, or one stored at depth k): averaging the small infidelity
+    instead of the fidelity keeps the rounding of the branch averages
+    relative to it.  The average over Binomial(m, p) survivors is row 0 of
+    ``(q + p * shift)**m`` applied to the deeper table.  Only the slots that
+    the requested counts read are averaged, which moves no bit; the tests
+    keep the numpy loop that it replaced as its reference.
     """
-    loss = (1.0 - fid).T
-    states = loss.shape[:-1]
-    value = None
-    for depth in reversed(range(depth_cap(n) + 1)):
-        top = n >> depth
-        deeper, value = value, np.empty(states + (top + 1, depth + 1))
-        value[..., 0, 0] = 1.0 - policy.failure_fidelity
-        value[..., 0, 1:] = loss[..., :depth]
-        value[..., 1, :] = loss[..., depth, None]
-        if top >= 2:
-            # after[..., k - 1, :] averages the deeper table over k steps' survivors
-            after = np.empty(states + (top // 2, depth + 2))
-            _kernels.binomial_rows(deeper.reshape(-1, *deeper.shape[-2:]),
-                                   np.reshape(psucc[depth], -1),
-                                   after.reshape(-1, *after.shape[-2:]))
-            value[..., 2::2, :] = after[..., : depth + 1]
-            # an odd count stores one pair at this depth, replacing any older backup
-            odd = after[..., : (top - 1) // 2, :]
-            value[..., 3::2, :] = (odd[..., depth + 1 :] if policy.backup_enabled
-                                   else odd[..., : depth + 1])
-            if policy.stop_at_two_without_backup:
-                value[..., 2, 0] = loss[..., depth]
-    return 1.0 - value[..., 0]
+    out = np.empty(fid.shape[1:] + (len(counts),))
+    _kernels.exact_expectations(
+        fid.reshape(len(fid), -1),
+        psucc.reshape(len(psucc), -1),
+        np.array(counts, dtype=np.int64),
+        policy.backup_enabled,
+        policy.stop_at_two_without_backup,
+        policy.failure_fidelity,
+        out.reshape(-1, len(counts)),
+    )
+    return out
 
 
 def expected_fidelity_exact(
@@ -336,8 +327,7 @@ def sweep_over_n(
     for chunk in chunks:
         # dropping a pair can lower depth_cap, so the depth table follows the raw count
         fid, psucc = _depth_tables(chunk, top_n)
-        table = _exact_table(fid, psucc, top_m, policy)
-        parts.append((table[..., [m for _, m in counts]].T,
-                      fid[[depth_cap(n) for n, _ in counts]]))
+        parts.append((_exact_table(fid, psucc, [m for _, m in counts], policy).T,
+                       fid[[depth_cap(n) for n, _ in counts]]))
     values, references = (np.concatenate(x, axis=-1).tolist() for x in zip(*parts))
     return [(n, v, r) for (n, _), v, r in zip(counts, values, references)]

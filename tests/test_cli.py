@@ -510,9 +510,9 @@ def test_pinned_rows_and_benchmark_ops_stay_under_the_work_cap(capsys, monkeypat
     work = []
     table = iterative_scheme._exact_table
 
-    def counting_table(fid, psucc, n, policy):
-        work.append(fid[0].size * n**2)
-        return table(fid, psucc, n, policy)
+    def counting_table(fid, psucc, counts, policy):
+        work.append(fid[0].size * max(counts)**2)
+        return table(fid, psucc, counts, policy)
 
     monkeypatch.setattr(iterative_scheme, "_exact_table", counting_table)
     paths = {"{out}": str(tmp_path / "out.csv"),

@@ -6,8 +6,8 @@ reads set the Monte Carlo bits, and ``n_min`` sets the bytes of the
 ``nmin`` CSV.  A ``(4, k)`` coefficient stack must give every state the
 bits of its own call, through the maps, the depth tables, ``n_min`` and
 the exact table, and the same error as the first state that fails.  The
-compiled ``binomial_rows`` must give the bits of the numpy loop it
-replaced, which stays here as its reference.
+compiled ``exact_expectations`` must give the bits of the numpy backward
+induction it replaced, which stays here as its reference.
 """
 
 import math
@@ -36,7 +36,12 @@ from belldistil import (
 from belldistil import _kernels
 from belldistil.bell_core import _normalized, _normalized_rows, _square
 from belldistil.cli import _a_grid, _werner_stack
-from belldistil.iterative_scheme import _STACK_ENTRIES, _depth_tables, depth_cap
+from belldistil.iterative_scheme import (
+    _STACK_ENTRIES,
+    _depth_tables,
+    _exact_table,
+    depth_cap,
+)
 
 #: The Werner grid of ``nmin --step 0.001``, 200 random states and a few edges.
 STATES = (
@@ -85,16 +90,53 @@ def public_n_min(s, conv):
 
 
 def reference_binomial_rows(w, p, after):
-    """The numpy loop that ``_kernels.binomial_rows`` replaced, once per
-    state j: ``after[j, k - 1]`` is row 0 of ``w[j]`` after k averaging
-    steps.  Returns the last ``w``; the caller's ``w`` is left as it is."""
-    last = []
+    """The numpy averaging loop, once per state j: ``after[j, k - 1]`` is
+    row 0 of ``w[j]`` after k averaging steps; ``w`` is left as it is."""
     for w_j, p_j, after_j in zip(w, p, after):
         for row in after_j:
             w_j = (1.0 - p_j) * w_j[:-1] + p_j * w_j[1:]
             row[:] = w_j[0]
-        last.append(w_j)
-    return np.array(last)
+
+
+def reference_exact_table(
+    fid: np.ndarray, psucc: np.ndarray, n: int, policy: IterationPolicy
+) -> np.ndarray:
+    """Exact expectation for every starting count 0 .. n, by backward
+    induction over depth on depth tables that reach at least depth_cap(n).
+
+    ``value[..., live, slot]`` is one minus the expectation on entering a
+    depth with ``live`` pairs; slot 0 means no backup and slot k + 1 a backup
+    stored at depth k, so the table at depth d has d + 1 slots.  Averaging
+    the small infidelity instead of the fidelity keeps the rounding of the
+    branch averages relative to it.  The average over Binomial(m, p)
+    survivors is row 0 of ``(q + p * shift)**m`` applied to the deeper
+    table; ``reference_binomial_rows`` takes those steps.  A trailing state
+    axis of the depth tables leads here, so each state's table is
+    contiguous; every operation is elementwise along it.
+    """
+    loss = (1.0 - fid).T
+    states = loss.shape[:-1]
+    value = None
+    for depth in reversed(range(depth_cap(n) + 1)):
+        top = n >> depth
+        deeper, value = value, np.empty(states + (top + 1, depth + 1))
+        value[..., 0, 0] = 1.0 - policy.failure_fidelity
+        value[..., 0, 1:] = loss[..., :depth]
+        value[..., 1, :] = loss[..., depth, None]
+        if top >= 2:
+            # after[..., k - 1, :] averages the deeper table over k steps' survivors
+            after = np.empty(states + (top // 2, depth + 2))
+            reference_binomial_rows(deeper.reshape(-1, *deeper.shape[-2:]),
+                                    np.reshape(psucc[depth], -1),
+                                    after.reshape(-1, *after.shape[-2:]))
+            value[..., 2::2, :] = after[..., : depth + 1]
+            # an odd count stores one pair at this depth, replacing any older backup
+            odd = after[..., : (top - 1) // 2, :]
+            value[..., 3::2, :] = (odd[..., depth + 1 :] if policy.backup_enabled
+                                   else odd[..., : depth + 1])
+            if policy.stop_at_two_without_backup:
+                value[..., 2, 0] = loss[..., depth]
+    return 1.0 - value[..., 0]
 
 
 def outcome(fn, *args):
@@ -266,11 +308,25 @@ def test_nested_lists_are_stacks():
         s0, UnsuccessfulConvention.LOCC_FLOOR)
 
 
-def binomial_case(rows, slots, p, steps):
-    """A random ``rows`` x ``slots`` table per state of ``p`` and the
-    ``after`` rows of ``steps`` steps."""
-    w = np.random.default_rng(rows * slots + len(p)).random((len(p), rows, slots))
-    return w, np.asarray(p, dtype=float), np.empty((len(p), steps, slots))
+#: Every count up to 130 and the counts on either side of the powers of two
+#: up to the cap, where the depth tables gain a depth.
+REFERENCE_COUNTS = list(range(1, 131)) + [255, 256, 1023, 1024, 2047, 2048, 4095, 4096]
+
+
+def count_sets(top):
+    """Requested count sets up to ``top`` of every parity mix: the engine
+    averages only the backup slots that the counts' parities read."""
+    counts = [c for c in REFERENCE_COUNTS if c < top] + [top]
+    sets = [counts, [c for c in counts if c % 2 == 0], [c for c in counts if c % 2], [top]]
+    return [c for c in sets if c]
+
+
+#: Werner states from near the distillation threshold to near purity, where
+#: the averaged entries fall below ``DBL_MIN``, and random Bell-diagonal ones.
+REFERENCE_STATES = [werner(a) for a in (0.55, 0.75, 0.95, 0.99, 0.999)] + [
+    BellDiagonalState(*row)
+    for row in np.random.default_rng(23).dirichlet(np.ones(4), size=4)
+]
 
 
 def random_p(k):
@@ -279,95 +335,105 @@ def random_p(k):
     return p
 
 
-@pytest.mark.parametrize("rows, slots, p, steps", [
-    (2, 1, [0.3], 1),
-    (9, 3, [0.0], 8),
-    (9, 3, [1.0], 8),
-    (2049, 2, [0.6410256410256411], 2048),
-    (40, 5, [0.77], 12),
-    (17, 2, random_p(4), 16),
-    (33, 4, random_p(7), 20),
-    # wider than one chunk of _STACK_ENTRIES (state, count) entries at 32 pairs
-    (17, 2, random_p(_STACK_ENTRIES // 33 + 5), 16),
-    (6, 3, [], 5),
+@pytest.mark.parametrize("policy", POLICIES + [IterationPolicy(failure_fidelity=0.3)])
+def test_exact_expectations_match_the_numpy_loop(policy):
+    stacked = stack(REFERENCE_STATES)
+    fid, psucc = _depth_tables(stacked, max(REFERENCE_COUNTS))
+    want = reference_exact_table(fid, psucc, max(REFERENCE_COUNTS), policy)
+    singles = [[c] for c in (1, 2, 3, 4, 5, 6, 7, 33, 255, 256)]
+    for counts in count_sets(130) + count_sets(4096) + singles:
+        got = _exact_table(fid, psucc, counts, policy)
+        assert got.tobytes() == want[:, counts].tobytes(), (counts[:3], len(counts))
+        for i, s0 in enumerate(REFERENCE_STATES):
+            got = _exact_table(*_depth_tables(s0, max(counts)), counts, policy)
+            assert got.tobytes() == want[i, counts].tobytes(), (s0, counts[:3], len(counts))
+
+
+@pytest.mark.parametrize("n, p", [
+    (2, [0.3]),
+    (17, [0.0]),
+    (17, [1.0]),
+    (4096, [0.6410256410256411]),
+    (80, [0.77]),
+    (33, random_p(4)),
+    (66, random_p(7)),
+    (40, random_p(100)),
+    (11, []),
 ])
-def test_binomial_rows_matches_the_numpy_loop(rows, slots, p, steps):
-    w, p, after = binomial_case(rows, slots, p, steps)
-    want_after = np.full_like(after, np.nan)
-    want_w = reference_binomial_rows(w.copy(), p, want_after)
-    _kernels.binomial_rows(w, p, after)
-    assert after.tolist() == want_after.tolist()
-    assert w[:, : rows - steps].tolist() == want_w.tolist()
+def test_exact_expectations_match_the_numpy_loop_on_any_tables(n, p):
+    # random fidelities, and success probabilities that no state has
+    p = np.asarray(p, dtype=float)
+    depths = np.arange(1, depth_cap(n) + 2)[:, None]
+    fid = np.random.default_rng(n + len(p)).random((len(depths), len(p)))
+    psucc = p**depths
+    for policy in POLICIES:
+        want = reference_exact_table(fid, psucc, n, policy)
+        for counts in count_sets(n):
+            got = _exact_table(fid, psucc, counts, policy)
+            assert got.tobytes() == want[:, counts].tobytes(), (policy, counts[:3])
 
 
-def test_binomial_rows_matches_the_numpy_loop_at_every_vector_tail():
-    # the build may vectorize the loop 8 doubles wide: every row count up to
-    # 40 and slot count up to 17 leaves its own remainder for the peel and
-    # tail loops, and below 8 slots the read-ahead w[i + m] falls inside the
-    # vector being written
-    for rows in range(2, 41):
-        for slots in range(1, 18):
-            for p in ([0.77], [0.3, 0.5, 0.9]):
-                w, p, after = binomial_case(rows, slots, p, rows - 1)
-                want_after = np.full_like(after, np.nan)
-                want_w = reference_binomial_rows(w.copy(), p, want_after)
-                _kernels.binomial_rows(w, p, after)
-                assert after.tobytes() == want_after.tobytes(), (rows, slots, len(p))
-                assert w[:, :1].tobytes() == want_w.tobytes(), (rows, slots, len(p))
+def test_exact_expectations_leave_subnormals_on():
+    tiny = 2.2250738585072014e-308  # DBL_MIN
+    # near purity the engine's tables fall below DBL_MIN
+    sweep_over_n(stack([werner(0.99), werner(0.999)]), [2048, 4095], BACKUP)
+    for half in (tiny / 2, (np.array([tiny]) / 2).item()):
+        assert 0.0 < half < tiny
 
 
-def test_exact_table_matches_the_numpy_loop(monkeypatch):
-    counts = list(range(1, 40)) + [300, 1023]
-    stacked = _werner_stack(_a_grid(0.505, 0.995, 0.035))
-
-    def sweeps():
-        return [sweep_over_n(s0, counts, policy)
-                for policy in POLICIES for s0 in (werner(0.75), stacked)]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(_kernels, "binomial_rows", reference_binomial_rows)
-        want = sweeps()
-    assert sweeps() == want
-
-
-def test_binomial_rows_rejects_bad_buffers():
-    rows, steps, p = 9, 8, random_p(4)
-    # w and after are views between sentinel states, so a stray write shows
-    w_base = np.random.default_rng(0).random((len(p) + 2, rows, 2))
-    after_base = np.full((len(p) + 2, steps, 2), -1.0)
-    w, after = w_base[1:-1], after_base[1:-1]
-    w_before = w_base.copy()
-    read_only = w.copy()
+def test_exact_expectations_reject_bad_buffers():
+    counts = np.array([1, 6, 33], dtype=np.int64)
+    states = stack(REFERENCE_STATES[:4])
+    fid, psucc = _depth_tables(states, 33)
+    # out is a view between sentinel states, so a stray write shows
+    out_base = np.full((6, len(counts)), -1.0)
+    out = out_base[1:-1]
+    inputs = (fid.copy(), psucc.copy(), counts.copy())
+    read_only = np.empty(out.shape)
     read_only.flags.writeable = False
-    read_only_after = np.empty(after.shape)
-    read_only_after.flags.writeable = False
+    shared = np.full(fid.size + out.size, 0.5)
     bad = {
-        "float32 w": dict(w=w.astype(np.float32)),
-        "int64 p": dict(p=np.ones(4, dtype=np.int64)),
-        "1-d w": dict(w=w.ravel()),
-        "2-d p": dict(p=p[None]),
-        "non-contiguous w": dict(w=np.repeat(w, 2, axis=2)[..., ::2]),
-        "non-contiguous after": dict(after=np.repeat(after, 2, axis=2)[..., ::2]),
-        "read-only w": dict(w=read_only),
-        "read-only after": dict(after=read_only_after),
-        "after as long as w": dict(after=np.empty(w.shape)),
-        "after overlapping w": dict(after=w.reshape(-1)[2 : 2 + after.size]
-                                    .reshape(after.shape)),
-        "after with other slots": dict(after=np.empty((len(p), steps, 1))),
-        "p with another state count": dict(p=p[:3].copy()),
-        "after with another state count": dict(after=np.empty((3, steps, 2))),
-        "p overlapping w": dict(p=w.reshape(-1)[1 : 1 + len(p)]),
-        "p overlapping after": dict(p=after.reshape(-1)[1 : 1 + len(p)]),
+        "float32 fid": dict(fid=fid.astype(np.float32)),
+        "int32 counts": dict(counts=counts.astype(np.int32)),
+        "float64 counts": dict(counts=counts.astype(float)),
+        "float32 out": dict(out=np.empty(out.shape, dtype=np.float32)),
+        "1-d fid": dict(fid=fid.ravel()),
+        "3-d psucc": dict(psucc=psucc[None]),
+        "2-d counts": dict(counts=counts[None]),
+        "1-d out": dict(out=out.ravel()),
+        "non-contiguous fid": dict(fid=np.repeat(fid, 2, axis=1)[:, ::2]),
+        "non-contiguous counts": dict(counts=np.repeat(counts, 2)[::2]),
+        "non-contiguous out": dict(out=np.repeat(out, 2, axis=1)[:, ::2]),
+        "read-only out": dict(out=read_only),
+        "out with a state too many": dict(out=out_base[1:]),
+        "out with a count too few": dict(out=np.empty((4, 2))),
+        "out with counts and states swapped": dict(out=np.empty((3, 4))),
+        "psucc with another state count": dict(psucc=psucc[:, :3].copy()),
+        "psucc with another depth count": dict(psucc=np.vstack([psucc, psucc[-1:]])),
+        "fewer depths than depth_cap(33) + 1": dict(fid=fid[:-1].copy(),
+                                                    psucc=psucc[:-1].copy()),
+        "a count of 0": dict(counts=np.array([1, 0, 33])),
+        "a negative count": dict(counts=np.array([1, -3, 33])),
+        "out overlapping fid": dict(fid=shared[: fid.size].reshape(fid.shape),
+                                    out=shared[-out.size - 1 : -1].reshape(out.shape)),
+        "out overlapping psucc": dict(psucc=shared[: psucc.size].reshape(psucc.shape),
+                                      out=shared[-out.size - 1 : -1].reshape(out.shape)),
     }
     for name, override in bad.items():
-        args = dict(w=w, p=p, after=after)
+        args = dict(fid=fid, psucc=psucc, counts=counts, out=out)
         args.update(override)
         with pytest.raises(ValueError):
-            _kernels.binomial_rows(**args)
-        assert w_base.tolist() == w_before.tolist(), name
-        assert (after_base == -1.0).all(), name
-    _kernels.binomial_rows(w, p, after)
-    assert w_base[0].tolist() == w_before[0].tolist()
-    assert w_base[-1].tolist() == w_before[-1].tolist()
-    assert (after_base[0] == -1.0).all() and (after_base[-1] == -1.0).all()
-    assert not (after_base[1:-1] == -1.0).any()
+            _kernels.exact_expectations(args["fid"], args["psucc"], args["counts"],
+                                        True, True, 0.5, args["out"])
+        assert (out_base == -1.0).all(), name
+        assert (shared == 0.5).all(), name
+    # a scratch table too large to allocate
+    huge, one_count = 2**61, np.full((4, 1), -1.0)
+    with pytest.raises(MemoryError):
+        _kernels.exact_expectations(*_depth_tables(states, huge),
+                                    np.array([huge]), True, True, 0.5, one_count)
+    assert (one_count == -1.0).all()
+    _kernels.exact_expectations(fid, psucc, counts, True, True, 0.5, out)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((fid, psucc, counts), inputs))
+    assert (out_base[0] == -1.0).all() and (out_base[-1] == -1.0).all()
+    assert not (out == -1.0).any()
