@@ -235,6 +235,15 @@ def _state(coeffs: _Coeffs) -> BellDiagonalState:
     return s
 
 
+def _step_coeffs(a, b, c, d):
+    """The step maps of :func:`distill_step` on coefficients: the success
+    weight, the success and failure coefficients and whether failure is
+    reachable, per state of a stack."""
+    p = _success_weight(a, b, c, d)
+    success = _success_coeffs(a, b, c, d, p)
+    return (p, success, *_failure_coeffs(a, b, c, d))
+
+
 def distill_step(s: BellDiagonalState) -> StepOutcome:
     """One two-pair step: success/failure post-states and the success weight.
 
@@ -242,11 +251,8 @@ def distill_step(s: BellDiagonalState) -> StepOutcome:
     already folded into these coefficient maps; no separate rotation is
     exposed on coefficient vectors.
     """
-    coeffs = s.as_tuple()
-    p = _success_weight(*coeffs)
-    success = _state(_success_coeffs(*coeffs, p))
-    failure, reachable = _failure_coeffs(*coeffs)
-    return StepOutcome(p, success, _state(failure), bool(reachable))
+    p, success, failure, reachable = _step_coeffs(*s.as_tuple())
+    return StepOutcome(p, _state(success), _state(failure), bool(reachable))
 
 
 def avg_fidelity_single_locc(s: BellDiagonalState) -> float:

@@ -32,7 +32,7 @@ import itertools
 import math
 import sys
 from dataclasses import replace
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -99,10 +99,20 @@ def _a_grid(start: float, stop: float, step: float) -> list[float]:
             f"grid step must be at least 1e-{_GRID_DECIMALS}, "
             "the resolution of the grid points"
         )
-    return [
-        round(start + i * step, _GRID_DECIMALS)
-        for i in range(math.floor(intervals) + 1)
-    ]
+    # round(x, 12) is the integer nearest x * 1e12 (ties to even) over 1e12,
+    # rounded once.  rint and one division give it where the rounding of
+    # x * 1e12 cannot cross a tie, more than one spacing from one, which
+    # holds only below 2**52; round itself takes the other points.
+    x = start + np.arange(math.floor(intervals) + 1) * step
+    scale = 10.0**_GRID_DECIMALS
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = x * scale
+        whole = np.rint(hi)
+        safe = abs(abs(hi - whole) - 0.5) > abs(np.spacing(hi))
+    grid = (whole / scale).tolist()
+    for i in np.flatnonzero(~safe).tolist():
+        grid[i] = round(float(x[i]), _GRID_DECIMALS)
+    return grid
 
 
 def _werner_stack(grid: list[float]) -> np.ndarray:
@@ -158,22 +168,28 @@ def cmd_step(args: argparse.Namespace) -> int:
     return 0
 
 
+def _nmin_cells(values: list[float | None]) -> Iterator[str]:
+    """The two cells of each ``n_min`` value, written as they are read: the
+    value and its round_up_even, 2 * ceil(x / 2) but at least 2, taken for
+    the whole column at once; both stay empty where there is no value (a
+    round cannot gain fidelity).  ``'%.12g' %`` writes the text of
+    ``format(x, '.12g')``."""
+    x = np.array(values, dtype=float)  # None reads NaN
+    even = np.maximum(2.0, np.ceil(np.where(np.isnan(x), 0.0, x) / 2.0) * 2.0)
+    return (
+        "," if v is None else "%.12g,%d" % (v, e)
+        for v, e in zip(values, even.astype(np.int64).tolist())
+    )
+
+
 def cmd_nmin(args: argparse.Namespace) -> int:
     grid = _a_grid(args.start, args.stop, args.step)
     stack = _werner_stack(grid)
     columns = [
-        n_min(stack, conv)
+        _nmin_cells(n_min(stack, conv))
         for conv in (UnsuccessfulConvention.LOCC_FLOOR, UnsuccessfulConvention.CONDITIONAL)
     ]
-    # each value and its round_up_even, written out as 2 * ceil(x / 2) but at
-    # least 2 because a call per cell is a measurable share of the op; both
-    # cells stay empty where n_min has no value (a round cannot gain fidelity)
-    rows = (
-        f"{a:.12g},"
-        f"{',' if locc is None else f'{locc:.12g},{max(2, math.ceil(locc / 2) * 2)}'},"
-        f"{',' if cond is None else f'{cond:.12g},{max(2, math.ceil(cond / 2) * 2)}'}"
-        for a, locc, cond in zip(grid, *columns)
-    )
+    rows = map(",".join, zip(("%.12g" % a for a in grid), *columns))
     _write_csv(
         args.out,
         ["A", "nmin_locc", "nmin_locc_even", "nmin_conditional", "nmin_conditional_even"],

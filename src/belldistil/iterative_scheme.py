@@ -313,21 +313,24 @@ def sweep_over_n(
         return []
     top_n, top_m = max(n for n, _ in counts), max(m for _, m in counts)
     if isinstance(s0, BellDiagonalState):
-        states, chunks = 1, [s0]
+        states, shape, chunks = 1, (len(counts),), [(..., s0)]
     else:
         states, width = s0.shape[1], _STACK_ENTRIES // (top_m + 1)
+        shape = (len(counts), states)
         # an empty stack is one empty chunk
-        chunks = [s0[:, i : i + width] for i in range(0, max(states, 1), width)]
+        chunks = [(np.s_[:, i : i + width], s0[:, i : i + width])
+                  for i in range(0, max(states, 1), width)]
     if states * top_m**2 > _EXACT_WORK_CAP:
         raise ResourceCapError(
             f"exact expectation capped at states * n**2 = {_EXACT_WORK_CAP}; "
             "use fewer states or fewer pairs"
         )
-    parts = []
-    for chunk in chunks:
+    # each chunk is written in place; the lists are made once, at the end
+    values, references = np.empty(shape), np.empty(shape)
+    for columns, chunk in chunks:
         # dropping a pair can lower depth_cap, so the depth table follows the raw count
         fid, psucc = _depth_tables(chunk, top_n)
-        parts.append((_exact_table(fid, psucc, [m for _, m in counts], policy).T,
-                       fid[[depth_cap(n) for n, _ in counts]]))
-    values, references = (np.concatenate(x, axis=-1).tolist() for x in zip(*parts))
-    return [(n, v, r) for (n, _), v, r in zip(counts, values, references)]
+        values[columns] = _exact_table(fid, psucc, [m for _, m in counts], policy).T
+        references[columns] = fid[[depth_cap(n) for n, _ in counts]]
+    values = values.tolist()
+    return [(n, v, r) for (n, _), v, r in zip(counts, values, references.tolist())]

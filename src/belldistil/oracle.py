@@ -22,7 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell_core import BellDiagonalState, _first, _normalized, _normalized_rows, _state
+from .bell_core import (
+    BellDiagonalState,
+    _first,
+    _normalized,
+    _normalized_rows,
+    _state,
+    _step_coeffs,
+)
 from .errors import NotBellDiagonalError, ResourceCapError
 
 HERMITIAN_ATOL = 1e-12
@@ -34,9 +41,9 @@ UNREACHABLE_TRACE_ATOL = 1e-14
 
 #: Samples per numpy call in the randomized checks.  It bounds their memory
 #: at any sample count; the results do not depend on it.
-_ORACLE_STACK = 16
+_ORACLE_STACK = 64
 
-#: Most samples a randomized check may draw: about a minute of the oracle.
+#: Most samples a randomized check may draw: 15 to 20 s of the oracle.
 _ORACLE_SAMPLE_CAP = 1_000_000
 
 #: Samples, from the first, on which the comparison also checks the rotation.
@@ -296,32 +303,33 @@ class ComparisonReport:
 
 
 def compare_with_closed_form(
-    samples: int = 1000, seed: int = 0, step_fn=None
+    samples: int = 1000, seed: int = 0, step_fn=_step_coeffs
 ) -> ComparisonReport:
     """Run the oracle against the closed-form step on random states.
 
-    ``step_fn`` defaults to :func:`belldistil.bell_core.distill_step`; it is
-    injectable so a deliberately corrupted map can serve as a negative
-    control.  The closed form is called once per state, the oracle once per
-    stack of ``_ORACLE_STACK`` states, whose deviations are scanned as
-    arrays.  Each branch is read by :func:`_deviation`; a failure branch
-    reachable on one side only also deviates by infinity.  The worst state
-    is the first with the largest deviation.  ``rotation`` checks that the
-    pre-rotation swaps Psi- and Phi- in the first ``_ROTATION_SAMPLES``.
+    ``step_fn`` is the closed form of
+    :func:`belldistil.bell_core.distill_step` on a coefficient stack: it
+    takes the four coefficient arrays of k states and returns the k success
+    weights, the success and the failure coefficients (four arrays each)
+    and the k failure reachabilities.  It is injectable so a deliberately
+    corrupted map can serve as a negative control.  The closed form and the
+    oracle each run once per stack of ``_ORACLE_STACK`` states, on the same
+    stack, whose deviations are scanned as arrays; every state gets the
+    bits of its own ``distill_step`` call.  Each branch is read by
+    :func:`_deviation`; a failure branch reachable on one side only also
+    deviates by infinity.  The worst state is the first with the largest
+    deviation.  ``rotation`` checks that the pre-rotation swaps Psi- and
+    Phi- in the first ``_ROTATION_SAMPLES``.
     """
-    from .bell_core import distill_step
-
-    if step_fn is None:
-        step_fn = distill_step
     dev_p = dev_s = dev_f = dev_r = 0.0
     worst_state = (1.0, 0.0, 0.0, 0.0)
     for j, (coeffs, m) in enumerate(_random_states(samples, seed)):
-        closed = [step_fn(_state(row)) for row in coeffs.tolist()]
+        p, success, failure, reachable = step_fn(*coeffs.T)
         full = dejmps_step_full(m)
-        dp = abs(full.p_success - np.array([c.p_success for c in closed]))
-        ds = _deviation(full.success_m, [c.success_state.as_tuple() for c in closed])
-        df = _deviation(full.failure_m, [c.failure_state.as_tuple() for c in closed])
-        df[full.failure_reachable != [c.failure_reachable for c in closed]] = np.inf
+        dp = abs(full.p_success - p)
+        ds = _deviation(full.success_m, np.stack(success, axis=1))
+        df = _deviation(full.failure_m, np.stack(failure, axis=1))
+        df[full.failure_reachable != reachable] = np.inf
         deviation = np.maximum(np.maximum(dp, ds), df)
         i = int(np.argmax(deviation))
         if deviation[i] > max(dev_p, dev_s, dev_f):

@@ -1,11 +1,13 @@
 import hashlib
 import importlib.util
+import math
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from belldistil import (
     werner,
 )
 from belldistil.cli import _GRID_POINT_CAP, _POLICIES, _a_grid, _fmt, main
+from per_state import per_state
 
 
 def run(capsys, *argv):
@@ -212,6 +215,59 @@ def test_grid_stays_within_stop(bounds, data):
     assert last <= stop + 5e-13 < start + len(grid) * step
 
 
+def reference_grid(start: float, stop: float, step: float) -> list[float]:
+    """The grid as ``round`` gives it, one call per point."""
+    count = math.floor((stop - start + 0.5e-12) / step) + 1
+    return [round(start + i * step, 12) for i in range(count)]
+
+
+def _near_tie(k: int, direction: float) -> float:
+    """One ulp from (k + 1/2) / 1e12, a tie of the rounding to 12 decimals."""
+    return float(np.nextafter((k + 0.5) / 1e12, direction))
+
+
+#: (start, stop, step) of grids whose points the numpy grid must give as
+#: ``round`` does.
+GRIDS = [
+    (0.505, 0.995, 1e-5),  # the nmin and fig3 range, finely
+    (-0.49999, 0.49999, 1e-5),  # negative points and zero
+    (-0.0, 0.99998, 1e-5),  # a start of -0.0
+    (-4.9999e-8, 5e-8, 1e-12),  # -0.0 from below, 0.0 and the finest step
+    (0.0, 9.9998e-7, 1e-11),
+    (5e-13, 9.99985e-8, 1e-12),  # x * 1e12 rounds onto a tie at most points
+    (4503.5, 4503.59999, 1e-6),  # x * 1e12 crosses 2**52
+    (-4503.59999, -4503.5, 1e-6),
+    (9007.15, 9007.24999, 1e-6),  # and 2**53
+    (-4.9999e6, 5e6, 100.0),  # every point above 2**52 / 1e12
+    (1e296, 1e296 + 9999e292, 1e292),  # x * 1e12 overflows from 1.8e296 on
+    # one ulp from a tie, and near ties at the later points
+    (_near_tie(505_000_000_000, 1.0), 0.50509999, 1e-9),
+    (_near_tie(505_000_000_000, 0.0), 0.50509999, 1e-9),
+    (_near_tie(-595_000_000_000, 1.0), -0.59490001, 1e-9),
+    (_near_tie(3_999_999_999_999, 0.0), 4.09999, 1e-6),
+]
+
+
+def test_grid_gives_the_points_of_round_bytewise():
+    points = 0
+    for start, stop, step in GRIDS:
+        got, want = _a_grid(start, stop, step), reference_grid(start, stop, step)
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (start, stop, step)
+        points += len(want)
+    assert points > 10**6
+
+
+def test_percent_format_writes_the_text_of_format():
+    # nmin writes its floats with '%.12g' %, the other tables with format
+    rng = np.random.default_rng(24)
+    values = (rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64).tolist()
+              + (10.0 ** rng.uniform(-20, 20, 20_000)).tolist()
+              + [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 999999999999.5,
+                 0.5, 1.0, 2.0, 1e16, 123456789012.5, 1e-5, 0.0001])
+    assert ["%.12g" % x for x in values] == [format(x, ".12g") for x in values]
+
+
 @pytest.mark.parametrize("a", [0.505, 0.6, 0.123456789])
 def test_grid_step_at_the_resolution_keeps_points_distinct(a):
     # the finest step accepted still gives one distinct point per step
@@ -240,7 +296,7 @@ class TestVerifyOracle:
                 return StepOutcome(min(1.0, out.p_success + 1e-3),
                                    out.success_state, out.failure_state,
                                    out.failure_reachable)
-            return compare_with_closed_form(samples, seed, step_fn=bad_step)
+            return compare_with_closed_form(samples, seed, step_fn=per_state(bad_step))
 
         monkeypatch.setattr(oracle, "compare_with_closed_form", corrupted_comparison)
         code, out, _ = run(capsys, "verify-oracle", "--samples", "20")
@@ -281,6 +337,10 @@ PINNED = {
     "nmin_stdout": (
         ["nmin", "--start", "0.45", "--stop", "0.6", "--step", "0.05"],
         "cae5f00ef6deb887dddccf1e42949c50d27a596ac45f741c2d5d512f9894c7b4", "", 0),
+    # the whole range, with empty cells below A = 1/2 and at A = 1
+    "nmin_full_range": (
+        ["nmin", "--start", "0", "--stop", "1", "--step", "0.00002"],
+        "568474759d818b41e0c3f42c7c43904de0760f13692f847a0665adec172135d3", "", 0),
     "nmin_out_file": (
         ["nmin", "--start", "0.7", "--stop", "0.8", "--step", "0.05", "--out", "{out}"],
         "f92a43802ffbf7a1fc88734aab70246bbe98a8450b1211845f99f3d5c9959c02", "", 0),

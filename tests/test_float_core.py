@@ -34,7 +34,7 @@ from belldistil import (
     werner,
 )
 from belldistil import _kernels
-from belldistil.bell_core import _normalized, _normalized_rows, _square
+from belldistil.bell_core import _normalized, _normalized_rows, _square, _step_coeffs
 from belldistil.cli import _a_grid, _werner_stack
 from belldistil.iterative_scheme import (
     _STACK_ENTRIES,
@@ -193,6 +193,20 @@ def test_stacked_n_min_matches_each_state(conv):
     assert None in got
 
 
+def test_stacked_step_matches_each_state():
+    # the oracle compares its stacks with this form of distill_step
+    p, success, failure, reachable = _step_coeffs(*stack(STATES))
+    assert not reachable.all()
+    for i, s in enumerate(STATES):
+        want = distill_step(s)
+        assert p[i].hex() == want.p_success.hex()
+        assert [x[i].hex() for x in success] == [
+            x.hex() for x in want.success_state.as_tuple()]
+        assert [x[i].hex() for x in failure] == [
+            x.hex() for x in want.failure_state.as_tuple()]
+        assert reachable[i] == want.failure_reachable
+
+
 def test_werner_stack_matches_each_state():
     grid = _a_grid(0.0, 1.0, 0.0007) + [1.0]
     assert _werner_stack(grid).T.tolist() == [list(werner(a).as_tuple()) for a in grid]
@@ -235,6 +249,36 @@ def test_stacked_sweep_memory_is_bounded_at_any_grid_size():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
+
+
+def sweep_memory(stacked, counts):
+    """tracemalloc peak of a stacked sweep above what its result keeps."""
+    sweep_over_n(stacked[:, :1], counts, BACKUP)  # warms up numpy
+    tracemalloc.start()
+    try:
+        result = sweep_over_n(stacked, counts, BACKUP)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result) == len(counts)
+    return peak - kept
+
+
+def test_sweep_reads_its_lists_from_one_array_each():
+    # the values and the references, one float64 per (count, state) each,
+    # are written in place and read into lists once: above the lists the
+    # peak holds at most the two arrays, not the chunks and a joined copy
+    states, counts = 1000, range(1, 65)
+    one_array = 8 * states * len(counts)
+    assert sweep_memory(_werner_stack(np.linspace(0.51, 0.99, states)), counts) < (
+        2 * one_array)
+
+
+def test_stacked_sweep_memory_is_bounded_at_small_counts():
+    # 50,000 states at n in {2, 4}: the temporaries of one table over the
+    # whole stack would exceed the bound, those of a chunk do not
+    stacked = _werner_stack(np.linspace(0.51, 0.99, 50_000))
+    assert sweep_memory(stacked, [2, 4]) < 2 * 2**20
 
 
 def scalar_error(coeffs):

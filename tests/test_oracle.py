@@ -19,6 +19,7 @@ from belldistil.oracle import (
     embed,
     validate_density_matrix,
 )
+from per_state import per_state
 
 WERNER_075 = werner(0.75)
 
@@ -397,7 +398,7 @@ class TestClosedFormComparison:
             return type(out)(out.p_success, broken, out.failure_state,
                              out.failure_reachable)
 
-        report = compare_with_closed_form(samples=20, seed=6, step_fn=corrupted)
+        report = compare_with_closed_form(samples=20, seed=6, step_fn=per_state(corrupted))
         assert isinstance(report, ComparisonReport)
         assert report.max_deviation > 1e-3
 
@@ -422,15 +423,27 @@ class TestPinnedBits:
         assert _comparison_bits(comparison) == COMPARISON_PINS[samples, seed]
 
     def test_rotation_cut_inside_a_stack(self, monkeypatch):
-        # at 1009 samples the cut at 1000 falls inside the stack of 992-1007
+        # at 1009 samples the cut at 1000 falls inside a stack, not at its end
+        stack = oracle._ORACLE_STACK
+        whole, cut = divmod(oracle._ROTATION_SAMPLES, stack)
+        assert 0 < cut
         sizes = []
         rotate = oracle.apply_rotation_pair
         monkeypatch.setattr(oracle, "apply_rotation_pair",
                             lambda m: sizes.append(len(m)) or rotate(m))
         report = compare_with_closed_form(1009, 3).rotation
-        assert sizes == [16] * 62 + [8]
+        assert sizes == [stack] * whole + [cut]
         assert report.samples == 1000
         assert report == compare_with_closed_form(1000, 3).rotation
+
+    def test_report_does_not_depend_on_the_stack_size(self, monkeypatch):
+        reports = []
+        for stack in (1, 7, 16, 64, 1009):
+            monkeypatch.setattr(oracle, "_ORACLE_STACK", stack)
+            report = compare_with_closed_form(1009, 3)
+            reports.append((_comparison_bits(report), report.rotation.passed,
+                            report.rotation.max_deviation.hex(), report.rotation.samples))
+        assert reports == [reports[0]] * 5
 
 
 def _comparison_bits(report: ComparisonReport) -> tuple:
@@ -595,14 +608,14 @@ class TestSlicedBranch:
 
 def _counting_step(change):
     """``distill_step`` that records each state and lets ``change`` edit the
-    outcome of call i; returns the step and the list of states seen."""
+    outcome of call i; returns its stack form and the list of states seen."""
     seen = []
 
     def step(s):
         seen.append(s.as_tuple())
         return change(len(seen) - 1, distill_step(s))
 
-    return step, seen
+    return per_state(step), seen
 
 
 def _oracle_step(s):
@@ -738,6 +751,6 @@ class TestDeviationScan:
         assert out.endswith(f"verdict               FAIL (worst state {worst})\n")
 
     def test_zero_deviation_keeps_the_default_worst_state(self):
-        report = compare_with_closed_form(40, 3, step_fn=_oracle_step)
+        report = compare_with_closed_form(40, 3, step_fn=per_state(_oracle_step))
         assert report.max_deviation == 0.0
         assert report.worst_state == (1.0, 0.0, 0.0, 0.0)
