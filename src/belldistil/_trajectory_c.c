@@ -4,12 +4,16 @@
  * for the reference loop.  ``simulate`` reads its uniforms from a caller's
  * array.  ``simulate_philox`` computes each uniform from its index in numpy's
  * Philox4x64-10 stream (Salmon et al., SC'11) when a trajectory reads it,
- * so it holds no uniforms beyond a 2 KiB stack batch at any n0: double i of
+ * so it holds no uniforms beyond one cached block at any n0: double i of
  * the stream keyed by (k0, k1) is lane i % 4 of the block at the counter
  * i / 4 + 1, mapped to [0, 1) as (x >> 11) * 2**-53, exactly as
- * ``Generator(Philox(key=k0 + 2**64 * k1)).random`` draws it.  The 64x64 ->
- * 128-bit multiply uses ``__uint128_t``, as numpy's Philox does on gcc and
- * clang; other compilers are not supported.
+ * ``Generator(Philox(key=k0 + 2**64 * k1)).random`` draws it.  A round
+ * compares the integer x >> 11 with one integer threshold instead, which
+ * counts the same lanes, and counts each block that it reads whole from
+ * registers.  The 64x64 -> 128-bit multiply uses ``__uint128_t``, as
+ * numpy's Philox does on gcc and clang; other compilers are not supported.
+ * ``simulate_philox`` tallies the trials per output depth in place of a
+ * per-trial failure flag.
  *
  * The arrays arrive through the buffer protocol and are checked for dtype,
  * dimensions, contiguity, writability and size before any element is
@@ -43,23 +47,21 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <math.h>
 #include <stdint.h>
 #ifdef __x86_64__
 #include <xmmintrin.h>
 #endif
 
-/* Blocks filled per batch before counting: 64 blocks of 4 doubles. */
-#define BATCH 64
-
 typedef struct {
     uint64_t k0, k1;
     uint64_t block;  /* index of the block held in ``last``; UINT64_MAX: none */
-    double last[4];
+    uint64_t last[4];
 } stream;
 
-/* Writes the four doubles of Philox4x64-10 block ``b`` to ``dst``. */
+/* Writes the four words of Philox4x64-10 block ``b`` to ``x``. */
 static void
-philox_block(uint64_t k0, uint64_t k1, uint64_t b, double *dst)
+philox_block(uint64_t k0, uint64_t k1, uint64_t b, uint64_t x[4])
 {
     uint64_t c0 = b + 1, c1 = 0, c2 = 0, c3 = 0;
     __uint128_t p0, p1;
@@ -77,69 +79,84 @@ philox_block(uint64_t k0, uint64_t k1, uint64_t b, double *dst)
         c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
         c3 = (uint64_t)p0;
     }
-    dst[0] = (double)(c0 >> 11) * 0x1.0p-53;
-    dst[1] = (double)(c1 >> 11) * 0x1.0p-53;
-    dst[2] = (double)(c2 >> 11) * 0x1.0p-53;
-    dst[3] = (double)(c3 >> 11) * 0x1.0p-53;
+    x[0] = c0;
+    x[1] = c1;
+    x[2] = c2;
+    x[3] = c3;
 }
 
-/* Number of stream doubles start .. start + h - 1 below p.  The last block
- * read stays in ``s``: the next round, and sometimes the next trial, starts
- * inside it. */
-static Py_ssize_t
-count_below(stream *s, uint64_t start, Py_ssize_t h, double p)
+/* The integer t with (x >> 11) * 2**-53 < p exactly when (x >> 11) < t:
+ * ceil(p * 2**53), which scaling by a power of two computes exactly; 0 for
+ * p <= 0 or NaN, 2**53 for p >= 1. */
+static uint64_t
+threshold(double p)
 {
-    double buf[4 * BATCH];
-    uint64_t end = start + (uint64_t)h, first, stop, b, lo, hi, k;
+    if (!(p > 0.0))
+        return 0;
+    if (p >= 1.0)
+        return (uint64_t)1 << 53;
+    return (uint64_t)ceil(p * 0x1.0p53);
+}
+
+/* Number of lanes lo .. hi - 1 of block ``b`` below the threshold ``t``.
+ * The block stays in ``s``: the next round, and sometimes the next trial,
+ * starts inside it. */
+static Py_ssize_t
+count_cached(stream *s, uint64_t b, unsigned lo, unsigned hi, uint64_t t)
+{
     Py_ssize_t j = 0;
 
-    while (start < end) {
-        first = start / 4;
-        stop = (end - 1) / 4 + 1;
-        if (stop - first > BATCH)
-            stop = first + BATCH;
-        for (b = first; b < stop; b++) {
-            if (b == s->block)
-                memcpy(buf + 4 * (b - first), s->last, sizeof s->last);
-            else
-                philox_block(s->k0, s->k1, b, buf + 4 * (b - first));
-        }
-        s->block = stop - 1;
-        memcpy(s->last, buf + 4 * (stop - 1 - first), sizeof s->last);
-        lo = start - 4 * first;
-        hi = 4 * (stop - first);
-        if (end - 4 * first < hi)
-            hi = end - 4 * first;
-        for (k = lo; k < hi; k++)
-            if (buf[k] < p)
-                j++;
-        start = 4 * first + hi;
+    if (b != s->block) {
+        philox_block(s->k0, s->k1, b, s->last);
+        s->block = b;
     }
+    for (; lo < hi; lo++)
+        j += (s->last[lo] >> 11) < t;
     return j;
 }
 
-/* One trajectory on n pairs.  Round uniforms come from ``row`` when it is
- * given, else from ``s`` at stream index ``base`` onwards. */
-static double
+/* Number of stream doubles start .. start + h - 1 below p.  Whole blocks
+ * are counted from registers; a block that is only partly read goes
+ * through the cache in ``s``. */
+static Py_ssize_t
+count_below(stream *s, uint64_t start, Py_ssize_t h, double p)
+{
+    const uint64_t t = threshold(p), end = start + (uint64_t)h;
+    uint64_t b = start / 4, x[4];
+    Py_ssize_t j = 0;
+
+    if (start % 4) {
+        j += count_cached(s, b, start % 4,
+                          end - 4 * b < 4 ? (unsigned)(end - 4 * b) : 4, t);
+        b++;
+    }
+    for (; b < end / 4; b++) {
+        philox_block(s->k0, s->k1, b, x);
+        j += ((x[0] >> 11) < t) + ((x[1] >> 11) < t)
+             + ((x[2] >> 11) < t) + ((x[3] >> 11) < t);
+    }
+    if (b == end / 4 && end % 4)
+        j += count_cached(s, b, 0, end % 4, t);
+    return j;
+}
+
+/* One trajectory on n pairs; returns the depth whose fidelity it outputs,
+ * or -1 when it fails.  Round uniforms come from ``row`` when it is given,
+ * else from ``s`` at stream index ``base`` onwards. */
+static Py_ssize_t
 one(const double *row, stream *s, uint64_t base, Py_ssize_t n,
-    const double *psucc, const double *fid, int backup_enabled,
-    int stop_at_two, double failure_fidelity, unsigned char *failed)
+    const double *psucc, int backup_enabled, int stop_at_two)
 {
     Py_ssize_t off = 0, depth = 0, backup = -1, h, j, k;
     double p;
 
-    *failed = 0;
     for (;;) {
-        if (n == 0) {
-            if (backup >= 0)
-                return fid[backup];
-            *failed = 1;
-            return failure_fidelity;
-        }
+        if (n == 0)
+            return backup;
         if (n == 1)
-            return fid[depth];
+            return depth;
         if (n == 2 && backup < 0 && stop_at_two)
-            return fid[depth];
+            return depth;
         if (n % 2) {
             if (backup_enabled)
                 backup = depth;
@@ -184,17 +201,23 @@ get_array(PyObject *obj, Py_buffer *view, const char *name, int ndim,
     return 0;
 }
 
+/* The struct format of numpy's int64 arrays. */
+#define INT64_FORMAT (sizeof(long) == 8 ? "l" : "q")
+
 /* Checks the buffers and runs one trajectory per trial: per row of
  * ``u_obj``, or, when it is NULL, per entry of ``out`` on the stream ``s``
- * from trial ``first_trial`` on. */
+ * from trial ``first_trial`` on.  Each trial writes its output to ``out``
+ * and, with ``u_obj``, its failure flag to ``tally_obj``; without it, it
+ * adds one to the entry of ``tally_obj`` for its output depth, or to the
+ * last entry when it fails. */
 static PyObject *
 run(PyObject *u_obj, stream *s, Py_ssize_t first_trial, Py_ssize_t n0,
     PyObject *psucc_obj, PyObject *fid_obj, int backup_enabled,
     int stop_at_two, double failure_fidelity, PyObject *out_obj,
-    PyObject *failed_obj)
+    PyObject *tally_obj)
 {
-    Py_buffer u, psucc, fid, out, failed;
-    Py_ssize_t trials, width, t, depth_count;
+    Py_buffer u, psucc, fid, out, tally;
+    Py_ssize_t trials, width, t, k, depth_count;
     PyObject *result = NULL;
 
     if (n0 < 0) {
@@ -214,7 +237,8 @@ run(PyObject *u_obj, stream *s, Py_ssize_t first_trial, Py_ssize_t n0,
         goto release_psucc;
     if (get_array(out_obj, &out, "out", 1, "d", 1) < 0)
         goto release_fid;
-    if (get_array(failed_obj, &failed, "failed", 1, "B", 1) < 0)
+    if (get_array(tally_obj, &tally, u_obj != NULL ? "failed" : "counts", 1,
+                  u_obj != NULL ? "B" : INT64_FORMAT, 1) < 0)
         goto release_out;
 
     trials = u_obj != NULL ? u.shape[0] : out.shape[0];
@@ -230,10 +254,15 @@ run(PyObject *u_obj, stream *s, Py_ssize_t first_trial, Py_ssize_t n0,
         PyErr_Format(PyExc_ValueError,
                      "psucc and fid need %zd depths for n0 = %zd, got %zd and %zd",
                      depth_count, n0, psucc.shape[0], fid.shape[0]);
-    else if (out.shape[0] != trials || failed.shape[0] != trials)
+    else if (u_obj != NULL
+             && (out.shape[0] != trials || tally.shape[0] != trials))
         PyErr_Format(PyExc_ValueError,
                      "out and failed need %zd entries, got %zd and %zd",
-                     trials, out.shape[0], failed.shape[0]);
+                     trials, out.shape[0], tally.shape[0]);
+    else if (u_obj == NULL && tally.shape[0] != depth_count + 1)
+        PyErr_Format(PyExc_ValueError,
+                     "counts needs %zd entries for n0 = %zd, got %zd",
+                     depth_count + 1, n0, tally.shape[0]);
     else if (u_obj == NULL && n0 > 0
              && (uint64_t)first_trial + (uint64_t)trials > UINT64_MAX / (uint64_t)n0)
         PyErr_Format(PyExc_ValueError,
@@ -244,19 +273,25 @@ run(PyObject *u_obj, stream *s, Py_ssize_t first_trial, Py_ssize_t n0,
         const double *rows = u_obj != NULL ? u.buf : NULL;
         const double *ps = psucc.buf, *fs = fid.buf;
         double *o = out.buf;
-        unsigned char *fl = failed.buf;
+        unsigned char *fl = u_obj != NULL ? tally.buf : NULL;
+        int64_t *cs = u_obj != NULL ? NULL : tally.buf;
 
         Py_BEGIN_ALLOW_THREADS
-        for (t = 0; t < trials; t++)
-            o[t] = one(rows != NULL ? rows + t * width : NULL, s,
-                       ((uint64_t)first_trial + (uint64_t)t) * (uint64_t)n0,
-                       n0, ps, fs, backup_enabled, stop_at_two,
-                       failure_fidelity, fl + t);
+        for (t = 0; t < trials; t++) {
+            k = one(rows != NULL ? rows + t * width : NULL, s,
+                    ((uint64_t)first_trial + (uint64_t)t) * (uint64_t)n0,
+                    n0, ps, backup_enabled, stop_at_two);
+            o[t] = k >= 0 ? fs[k] : failure_fidelity;
+            if (cs != NULL)
+                cs[k >= 0 ? k : depth_count]++;
+            else
+                fl[t] = k < 0;
+        }
         Py_END_ALLOW_THREADS
         result = Py_NewRef(Py_None);
     }
 
-    PyBuffer_Release(&failed);
+    PyBuffer_Release(&tally);
 release_out:
     PyBuffer_Release(&out);
 release_fid:
@@ -314,19 +349,21 @@ to_u64(PyObject *obj, void *addr)
 
 PyDoc_STRVAR(simulate_philox_doc,
 "simulate_philox(k0, k1, first_trial, n0, psucc, fid, backup_enabled,\n"
-"                stop_at_two, failure_fidelity, out, failed)\n"
+"                stop_at_two, failure_fidelity, out, counts)\n"
 "--\n\n"
-"Fill ``out``/``failed`` with trials ``first_trial``, ``first_trial + 1``,\n"
-"...; trial t reads doubles ``t * n0`` onwards of the Philox stream keyed by\n"
-"``(k0, k1)``.");
+"Fill ``out`` with trials ``first_trial``, ``first_trial + 1``, ...; trial t\n"
+"reads doubles ``t * n0`` onwards of the Philox stream keyed by\n"
+"``(k0, k1)``.  Each trial adds one to ``counts[k]`` when it outputs\n"
+"``fid[k]``, or to ``counts[-1]`` when it fails; ``counts`` is int64 with\n"
+"floor(log2(n0)) + 2 entries.");
 
 static PyObject *
 simulate_philox(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *keywords[] = {
         "k0", "k1", "first_trial", "n0", "psucc", "fid", "backup_enabled",
-        "stop_at_two", "failure_fidelity", "out", "failed", NULL};
-    PyObject *psucc_obj, *fid_obj, *out_obj, *failed_obj;
+        "stop_at_two", "failure_fidelity", "out", "counts", NULL};
+    PyObject *psucc_obj, *fid_obj, *out_obj, *counts_obj;
     Py_ssize_t first_trial, n0;
     int backup_enabled, stop_at_two;
     double failure_fidelity;
@@ -336,18 +373,22 @@ simulate_philox(PyObject *self, PyObject *args, PyObject *kwargs)
             args, kwargs, "O&O&nnOOppdOO:simulate_philox", keywords,
             to_u64, &s.k0, to_u64, &s.k1, &first_trial, &n0, &psucc_obj,
             &fid_obj, &backup_enabled, &stop_at_two, &failure_fidelity,
-            &out_obj, &failed_obj))
+            &out_obj, &counts_obj))
         return NULL;
     return run(NULL, &s, first_trial, n0, psucc_obj, fid_obj, backup_enabled,
-               stop_at_two, failure_fidelity, out_obj, failed_obj);
+               stop_at_two, failure_fidelity, out_obj, counts_obj);
 }
 
 /* The clones of the averaging loop (see the top of the file); GCC 12 is the
  * oldest compiler they were checked with.  An ifunc resolver picks one at
- * load time from what the CPU reports. */
+ * load time from what the CPU reports.  Each clone starts a 64-byte line,
+ * so its inner loop keeps its place in the cache lines whatever the code
+ * before it: when an edit of the Monte Carlo kernel moved the AVX-512
+ * loop across a line, the exact expectation ran about 3% slower. */
 #if defined(__x86_64__) && defined(__ELF__) && !defined(__clang__) \
     && defined(__GNUC__) && __GNUC__ >= 12
-#define VECTOR_CLONES __attribute__((target_clones("arch=x86-64-v4", "default")))
+#define VECTOR_CLONES \
+    __attribute__((target_clones("arch=x86-64-v4", "default"), aligned(64)))
 #else
 #define VECTOR_CLONES
 #endif
@@ -479,9 +520,6 @@ overlap(const Py_buffer *a, const Py_buffer *b)
     return (char *)a->buf < (char *)b->buf + b->len
            && (char *)b->buf < (char *)a->buf + a->len;
 }
-
-/* The struct format of numpy's int64 arrays. */
-#define INT64_FORMAT (sizeof(long) == 8 ? "l" : "q")
 
 PyDoc_STRVAR(exact_expectations_doc,
 "exact_expectations(fid, psucc, counts, backup_enabled, stop_at_two,\n"

@@ -18,24 +18,21 @@ def _one(
     row: np.ndarray,
     n: int,
     psucc: np.ndarray,
-    fid: np.ndarray,
     backup_enabled: bool,
     stop_at_two: bool,
-    failure_fidelity: float,
-) -> tuple[float, bool]:
-    """Run one trajectory on ``n`` pairs, consuming uniforms from ``row``."""
+) -> int:
+    """Run one trajectory on ``n`` pairs, consuming uniforms from ``row``;
+    return the depth whose fidelity it outputs, or -1 when it fails."""
     off = 0
     depth = 0
     backup = -1  # iteration depth of the stored backup pair, -1 when absent
     while True:
         if n == 0:
-            if backup >= 0:
-                return float(fid[backup]), False
-            return failure_fidelity, True
+            return backup
         if n == 1:
-            return float(fid[depth]), False
+            return depth
         if n == 2 and backup < 0 and stop_at_two:
-            return float(fid[depth]), False
+            return depth
         if n % 2:
             if backup_enabled:
                 backup = depth  # deeper pair replaces any older backup
@@ -60,9 +57,6 @@ def simulate(
 ) -> None:
     """Fill ``out``/``failed`` with one trajectory per row of ``u``."""
     for t in range(u.shape[0]):
-        value, fail = _one(
-            u[t], n0, psucc, fid, backup_enabled, stop_at_two, failure_fidelity
-        )
-        out[t] = value
-        failed[t] = fail
-
+        depth = _one(u[t], n0, psucc, backup_enabled, stop_at_two)
+        out[t] = fid[depth] if depth >= 0 else failure_fidelity
+        failed[t] = depth < 0

@@ -50,14 +50,15 @@ from .errors import ResourceCapError
 EXACT_N_CAP = 4096
 
 #: Largest trial count accepted by the Monte Carlo estimate; it keeps
-#: 17 bytes per trial (result, failure flag, spread temporary), so about
-#: 170 MB at the cap.
+#: 16 bytes per trial (result, spread temporary), so about 160 MB at the
+#: cap.
 MC_TRIALS_CAP = 10_000_000
 
 #: Largest trials * n accepted by the Monte Carlo estimate.  A trajectory on
-#: n pairs reads up to n uniforms, and the kernel gets through 1.3e8 to
-#: 1.9e8 of them per second on one core (x86-64, 2 CPUs), so a run at the
-#: cap ends in about a minute.
+#: n pairs reads up to n uniforms, and the kernel gets through trials * n
+#: at 4.0e8 per second on one core when it reads nearly all of them
+#: (werner(0.99)) and 5.6e8 at werner(0.55) (x86-64, 2 CPUs, n = 8192 and
+#: 2**20), so a run at the cap ends in about 20 s.
 MC_WORK_CAP = 8_000_000_000
 
 #: Largest states * n**2 accepted by an exact sweep, n its largest effective
@@ -200,7 +201,10 @@ def expected_fidelity_mc(
     stream keyed by ``seed`` (numpy's ``Philox(key=seed)``, which also
     validates the seed), so results are bit-identical for a given
     (seed, trials, n, s0, policy) regardless of worker count or execution
-    order; aggregation is exact summation over the trial-ordered results.
+    order.  The kernel tallies, per chunk, how many trials output each
+    depth's fidelity and how many fail; the mean is the exact sum of the
+    outputs from those tallies, rounded once (what ``math.fsum`` over them
+    gives), and the failure rate the failed tally over the trials.
     The trials are split into ``min(workers, trials)`` contiguous chunks.
     The compiled kernel computes each uniform from its stream index when a
     trajectory reads it, so no uniform buffer grows with n or the trial
@@ -233,9 +237,10 @@ def expected_fidelity_mc(
         )
     k0, k1 = (int(w) for w in np.random.Philox(key=seed).state["state"]["key"])
     out = np.empty(trials)
-    failed = np.zeros(trials, dtype=np.uint8)
 
-    def run_chunk(lo: int, hi: int) -> None:
+    def run_chunk(lo: int, hi: int) -> np.ndarray:
+        # each chunk tallies its own outputs: no two threads add to one count
+        counts = np.zeros(len(fid) + 1, dtype=np.int64)
         _kernels.simulate_philox(
             k0,
             k1,
@@ -247,12 +252,13 @@ def expected_fidelity_mc(
             policy.stop_at_two_without_backup,
             policy.failure_fidelity,
             out[lo:hi],
-            failed[lo:hi],
+            counts,
         )
+        return counts
 
     workers = min(workers, trials)
-    if workers <= 1:
-        run_chunk(0, trials)
+    if workers == 1:
+        counts = run_chunk(0, trials)
     else:
         # imported here: concurrent.futures brings in logging, about 1 MB of
         # resident memory that a single-worker run does not need
@@ -260,16 +266,25 @@ def expected_fidelity_mc(
 
         bounds = [trials * i // workers for i in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, bounds[:-1], bounds[1:]))
+            counts = sum(pool.map(run_chunk, bounds[:-1], bounds[1:]))
 
-    mean = math.fsum(out) / trials
+    counts = counts.tolist()
+    mean = _tally_sum([*fid.tolist(), policy.failure_fidelity], counts) / trials
     std_error = float(np.std(out, ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
     return TrialStats(
         trials=trials,
         mean_fidelity=mean,
         std_error=std_error,
-        failure_rate=int(failed.sum()) / trials,
+        failure_rate=counts[-1] / trials,
     )
+
+
+def _tally_sum(values: list[float], counts: list[int]) -> float:
+    """``math.fsum`` over ``counts[k]`` copies of each ``values[k]``: the
+    exact sum, over the common power-of-two denominator, rounded once."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return sum(c * m * (den // d) for (m, d), c in zip(ratios, counts)) / den
 
 
 def _exact_counts(

@@ -54,6 +54,15 @@ def kernel_runs(n, trials, seed):
     return out, failed
 
 
+def reference_tally(u, n, psucc, backup_enabled, stop_at_two):
+    """The ``counts`` of ``simulate_philox`` by the reference loop on the rows
+    of ``u``: runs per output depth, then failed runs."""
+    tally = np.zeros(depth_cap(n) + 2, dtype=np.int64)
+    for row in u:
+        tally[_trajectory_py._one(row, n, psucc, backup_enabled, stop_at_two)] += 1
+    return tally
+
+
 class TestRunTrajectory:
     """Single runs, through the seeded Monte Carlo and the active kernel."""
 
@@ -377,28 +386,54 @@ class TestExpectedFidelityMC:
         for seed, n, first in itertools.product(
             seeds, (1, 2, 3, 4, 5, 7, 12, 33, 512, 513), (0, 1, 7)
         ):
-            k0, k1 = np.random.Philox(key=seed).state["state"]["key"]
             fid, psucc = _depth_tables(WERNER_075, n)
             trials = 64 if n < 100 else 16
+            self.assert_philox_twins(seed, n, first, trials, psucc, fid)
+
+    def test_philox_threshold_boundaries(self):
+        # Constant success tables at drawn doubles and their neighbours, and
+        # at the edges of [0, 1].  At n = 3, and at n = 2 under the relaxed
+        # stop rule, a trial's one round reads one double, and its output
+        # shows whether that double is below p, so `<` against `<=` and the
+        # rounding of the integer threshold show.
+        specials = (0.0, 2.0**-53, 1 - 2.0**-53, 1.0, 5e-324, np.nan)
+        for seed, n, first in itertools.product((0, 2**64 + 5), (2, 3, 12, 513), (0, 7)):
+            trials = 32
             rng = np.random.Generator(np.random.Philox(key=seed))
             u = rng.random((first + trials, n))[first:]
-            for backup_enabled, stop_at_two, failure_fidelity in itertools.product(
-                (True, False), (True, False), (0.5, 0.37)
-            ):
-                flags = (backup_enabled, stop_at_two, failure_fidelity)
-                results = []
-                for impl in (simulate_philox, simulate, _trajectory_py.simulate):
-                    out = np.empty(trials)
-                    failed = np.zeros(trials, dtype=np.uint8)
-                    if impl is simulate_philox:
-                        impl(k0, k1, first, n, psucc, fid, *flags, out, failed)
-                    else:
-                        impl(u, n, psucc, fid, *flags, out, failed)
-                    results.append((out, failed))
-                case = (seed, n, first, *flags)
-                for out, failed in results[1:]:
-                    assert np.array_equal(out, results[0][0]), case
-                    assert np.array_equal(failed, results[0][1]), case
+            firsts = u[:, 0]
+            picks = [*firsts[:4], firsts[firsts < 0.5][0], firsts[firsts >= 0.5][0],
+                     firsts.min(), firsts.max()]
+            edges = [np.nextafter(x, d) for x in picks for d in (-np.inf, np.inf)]
+            fid = _depth_tables(WERNER_075, n)[0]
+            for p in (*picks, *edges, *specials):
+                psucc = np.full(len(fid), p)
+                self.assert_philox_twins(seed, n, first, trials, psucc, fid)
+
+    @staticmethod
+    def assert_philox_twins(seed, n, first, trials, psucc, fid):
+        """``simulate_philox`` from trial ``first`` on, ``simulate`` and the
+        reference loop on the same numpy-drawn doubles agree bit for bit,
+        and the counts equal the reference loop's tally."""
+        k0, k1 = np.random.Philox(key=seed).state["state"]["key"]
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        u = rng.random((first + trials, n))[first:]
+        for backup_enabled, stop_at_two, failure_fidelity in itertools.product(
+            (True, False), (True, False), (0.5, 0.37)
+        ):
+            flags = (backup_enabled, stop_at_two, failure_fidelity)
+            case = (seed, n, first, psucc[0], *flags)
+            out = np.empty(trials)
+            counts = np.zeros(depth_cap(n) + 2, dtype=np.int64)
+            simulate_philox(k0, k1, first, n, psucc, fid, *flags, out, counts)
+            for impl in (simulate, _trajectory_py.simulate):
+                twin_out = np.empty(trials)
+                failed = np.zeros(trials, dtype=np.uint8)
+                impl(u, n, psucc, fid, *flags, twin_out, failed)
+                assert np.array_equal(twin_out, out), case
+                assert failed.sum() == counts[-1], case
+            tally = reference_tally(u, n, psucc, backup_enabled, stop_at_two)
+            assert np.array_equal(counts, tally), case
 
     def test_kernel_twins_are_bit_identical(self):
         for n in (1, 2, 3, 4, 7, 12, 33, 512):
@@ -457,20 +492,27 @@ class TestExpectedFidelityMC:
 
         n, trials = 7, 10
         fid, psucc = _depth_tables(WERNER_075, n)
-        # out and failed are views between sentinels, so a stray write shows
+        entries = depth_cap(n) + 2
+        # out and counts are views between sentinels, so a stray write shows
         out_base = np.full(trials + 2, -1.0)
-        failed_base = np.full(trials + 2, 7, dtype=np.uint8)
-        out, failed = out_base[1:-1], failed_base[1:-1]
+        counts_base = np.full(entries + 2, 7, dtype=np.int64)
+        out, counts = out_base[1:-1], counts_base[1:-1]
         read_only = np.empty(trials)
         read_only.flags.writeable = False
+        read_only_counts = np.zeros(entries, dtype=np.int64)
+        read_only_counts.flags.writeable = False
         # the largest first trial whose last double still has a 64-bit index
         top = (2**64 - 1) // n - trials
         bad = {
             "tables shorter than the depth": (ValueError, dict(psucc=psucc[:2].copy())),
-            "out shorter than failed": (ValueError, dict(out=out[:-1])),
-            "failed shorter than out": (ValueError, dict(failed=failed[:-1])),
             "read-only out": (ValueError, dict(out=read_only)),
-            "float64 failed": (ValueError, dict(failed=np.zeros(trials))),
+            "float64 counts": (ValueError, dict(counts=np.zeros(entries))),
+            "int32 counts": (ValueError, dict(counts=np.zeros(entries, dtype=np.int32))),
+            "counts shorter than the depths": (ValueError, dict(counts=counts[:-1])),
+            "counts longer than the depths": (ValueError, dict(counts=counts_base[1:])),
+            "read-only counts": (ValueError, dict(counts=read_only_counts)),
+            "non-contiguous counts":
+                (ValueError, dict(counts=np.zeros(2 * entries, dtype=np.int64)[::2])),
             "index beyond 64 bits": (ValueError, dict(first_trial=top + 1)),
             "negative first trial": (ValueError, dict(first_trial=-1)),
             "key word beyond 64 bits": (OverflowError, dict(k1=2**64)),
@@ -478,25 +520,27 @@ class TestExpectedFidelityMC:
         for name, (error, override) in bad.items():
             args = dict(k0=5, k1=1, first_trial=0, n0=n, psucc=psucc, fid=fid,
                         backup_enabled=True, stop_at_two=True,
-                        failure_fidelity=0.5, out=out, failed=failed)
+                        failure_fidelity=0.5, out=out, counts=counts)
             args.update(override)
             with pytest.raises(error):
                 _trajectory_c.simulate_philox(**args)
-            assert (out_base == -1.0).all() and (failed_base == 7).all(), name
+            assert (out_base == -1.0).all() and (counts_base == 7).all(), name
         # the top of the index range matches the reference loop on the same
         # doubles drawn by numpy (the counter advances once per four doubles)
+        counts[:] = 0
         _trajectory_c.simulate_philox(5, 1, top, n, psucc, fid, True, True, 0.5,
-                                      out, failed)
+                                      out, counts)
         assert out_base[0] == out_base[-1] == -1.0
-        assert failed_base[0] == failed_base[-1] == 7
+        assert counts_base[0] == counts_base[-1] == 7
         counter, skip = divmod(top * n, 4)
         rng = np.random.Generator(np.random.Philox(key=5 | 1 << 64, counter=counter))
         rng.random(skip)
+        u = rng.random((trials, n))
         ref_out = np.empty(trials)
-        ref_failed = np.zeros(trials, dtype=np.uint8)
-        _trajectory_py.simulate(rng.random((trials, n)), n, psucc, fid, True, True,
-                                0.5, ref_out, ref_failed)
-        assert np.array_equal(out, ref_out) and np.array_equal(failed, ref_failed)
+        _trajectory_py.simulate(u, n, psucc, fid, True, True, 0.5, ref_out,
+                                np.zeros(trials, dtype=np.uint8))
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(counts, reference_tally(u, n, psucc, True, True))
 
     def test_missing_kernel_fails_at_import(self):
         # a fresh interpreter in which the compiled module cannot be imported
@@ -591,3 +635,34 @@ def test_exact_outputs_keep_their_bits():
                 count += 1
     assert count == 50_460
     assert digest.hexdigest() == EXACT_SHA256
+
+
+#: SHA-256 over the 1,000 ``TrialStats`` of ``mc_pin_stats``, one line of
+#: ``trials`` and the ``float.hex`` of each float per result; taken while the
+#: kernel reported per-trial failure flags and the mean came from
+#: ``math.fsum`` over the outputs.
+MC_SHA256 = "2ed5683b57bbb93f0d2e651a8d4fe28f62741e766a871ab2f13bf4a495d74fd0"
+
+
+def mc_pin_stats():
+    """Monte Carlo on werner(0.55) at counts that start trials at every
+    lane of a Philox block, under every policy shape, at seeds that fill
+    both key words, on one worker and on three."""
+    counts = (*range(1, 10), 12, 13, 33, 100, 257, 512, 513, 1000, 4097, 8192, 8193)
+    policies = (BACKUP, NO_BACKUP, DROP_ONE,
+                IterationPolicy(stop_at_two_without_backup=False),
+                IterationPolicy(failure_fidelity=0.37))
+    seeds = (0, 7, 2**64 - 1, 2**64 + 5, 2**127 + 3)
+    for n, policy, seed, workers in itertools.product(counts, policies, seeds, (1, 3)):
+        yield expected_fidelity_mc(n, werner(0.55), policy, 5 + 20_000 // n, seed,
+                                   workers=workers)
+
+
+def test_monte_carlo_outputs_keep_their_bits():
+    digest, count = hashlib.sha256(), 0
+    for stats in mc_pin_stats():
+        floats = (stats.mean_fidelity, stats.std_error, stats.failure_rate)
+        digest.update(" ".join([str(stats.trials), *map(float.hex, floats)]).encode() + b"\n")
+        count += 1
+    assert count == 1_000
+    assert digest.hexdigest() == MC_SHA256
