@@ -1,4 +1,5 @@
-"""The compiled trajectory kernel and the exact expectation's backward induction.
+"""The compiled trajectory kernel, the exact expectation's backward induction,
+and the CSV writer and logarithm of the CLI tables.
 
 ``_trajectory_c`` is built from ``_trajectory_c.c`` by ``setup.py``; there
 is no fallback.  Without it, importing this module (and so ``belldistil``)
@@ -6,10 +7,24 @@ raises an ``ImportError`` that names the module and the build command.
 ``_trajectory_py`` holds the reference loop that tests compare the kernel
 against; the tests hold the numpy induction that ``exact_expectations``
 replaced.
+
+``format_table`` writes a float table as CSV text, each cell the bytes of
+``format(x, '.12g')``: a cell whose 12-digit mantissa a double computes
+beyond doubt is written in fixed point, and every other cell by
+``PyOS_double_to_string``, the routine that ``format`` itself calls.
+``log_each`` gives the bits of ``math.log`` per value, because it calls the
+same libm ``log`` and raises where ``math.log`` does.
 """
 
 try:
-    from ._trajectory_c import IMPL, exact_expectations, simulate, simulate_philox
+    from ._trajectory_c import (
+        IMPL,
+        exact_expectations,
+        format_table,
+        log_each,
+        simulate,
+        simulate_philox,
+    )
 except ImportError as exc:
     raise ImportError(
         f"compiled trajectory kernel belldistil._trajectory_c is unavailable "

@@ -1,4 +1,5 @@
-/* Compiled trajectory kernel and the exact expectation's backward induction.
+/* Compiled trajectory kernel, the exact expectation's backward induction,
+ * and the CSV writer and logarithm of the CLI tables.
  *
  * Trajectory semantics are identical to ``_trajectory_py``; see that module
  * for the reference loop.  ``simulate`` reads its uniforms from a caller's
@@ -17,8 +18,8 @@
  *
  * The arrays arrive through the buffer protocol and are checked for dtype,
  * dimensions, contiguity, writability and size before any element is
- * touched.  The loops release the GIL, so callers may split the trial axis
- * across threads.
+ * touched.  The loops of the kernel and the induction release the GIL, so
+ * callers may split the trial axis across threads.
  *
  * ``exact_expectations`` runs the backward induction of ``_exact_table``
  * one state after another, on two tables of O(n) doubles that it allocates
@@ -44,6 +45,15 @@
  * above DBL_MIN wherever it differs from 1, and every output that the
  * tests pin or compare with the numpy loop keeps its bits.  Other targets
  * keep subnormals and run slower.
+ *
+ * ``format_table`` writes a float table as the CLI's CSV text in one call,
+ * each cell byte for byte the text of Python's format(x, '.12g'): a cell
+ * whose 12-digit mantissa one rounded product determines beyond doubt is
+ * written in fixed point here, and every other cell by
+ * PyOS_double_to_string, the routine that format itself calls.
+ * ``log_each`` gives ``n_min`` the bits of math.log for a whole column: it
+ * calls the same libm ``log`` as math.log, and raises ValueError for the
+ * inputs for which math.log does.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -632,6 +642,172 @@ release_fid:
     return result;
 }
 
+/* 10**-4 .. 10**15: the thresholds 10**(e + 1) that find a cell's decimal
+ * exponent e, and the scales 10**(11 - e), every one of them exact. */
+static const double POW10[] = {
+    1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+    1e10, 1e11, 1e12, 1e13, 1e14, 1e15};
+
+/* Room for one cell: the longest '%.12g' text, "-1.23456789012e-308", takes
+ * 19 bytes. */
+#define CELL_MAX 32
+
+/* Writes the text of format(x, '.12g') at ``p`` and returns its end, or
+ * NULL with an exception set.  For 1e-4 <= |x| < 1e11, p = |x| * 10**(11 - e)
+ * is rounded once; when it lies more than 2**-12 (two of its ulps) from a
+ * half-integer, floor(p + 0.5) is the correctly rounded 12-digit mantissa of
+ * |x|, which '%.12g' writes in fixed point with its trailing zeros stripped,
+ * provided it has 12 digits (a wrong e gives 11 or 13).  Every other cell,
+ * and every near tie, goes through PyOS_double_to_string, the routine that
+ * '%.12g' % x and format(x, '.12g') call. */
+static char *
+format_cell(char *p, double x)
+{
+    const double ax = fabs(x);
+    double scaled;
+    int64_t d;
+    char digits[16], *text;
+    int e, lead, point, end, i;
+    size_t len;
+
+    if (ax >= 1e-4 && ax < 1e11) {
+        for (e = -4; ax >= POW10[e + 5]; e++)  /* POW10[15] = 1e11 > ax */
+            ;
+        scaled = ax * POW10[15 - e];
+        d = (int64_t)floor(scaled + 0.5);
+        if (fabs(scaled - floor(scaled) - 0.5) > 0x1p-12
+            && d >= 100000000000LL && d < 1000000000000LL) {
+            /* the mantissa after -e zeros when e < 0, so that the point
+             * always follows digit max(e, 0) */
+            lead = e < 0 ? -e : 0;
+            memset(digits, '0', (size_t)lead);
+            for (i = lead + 11; i >= lead; i--, d /= 10)
+                digits[i] = (char)('0' + d % 10);
+            for (end = lead + 12; digits[end - 1] == '0'; end--)
+                ;
+            point = e < 0 ? 1 : e + 1;
+            if (x < 0)
+                *p++ = '-';
+            memcpy(p, digits, (size_t)point);
+            p += point;
+            if (end > point) {
+                *p++ = '.';
+                memcpy(p, digits + point, (size_t)(end - point));
+                p += end - point;
+            }
+            return p;
+        }
+    }
+    if ((text = PyOS_double_to_string(x, 'g', 12, 0, NULL)) == NULL)
+        return NULL;
+    len = strlen(text);
+    memcpy(p, text, len);
+    PyMem_Free(text);
+    return p + len;
+}
+
+PyDoc_STRVAR(format_table_doc,
+"format_table(table)\n"
+"--\n\n"
+"The CSV text of a C-contiguous 2-d float64 ``table``: each row's cells\n"
+"joined by ``,`` and ended by a newline.  A cell holds the text of\n"
+"``format(x, '.12g')``, or nothing where x is NaN.");
+
+static PyObject *
+format_table(PyObject *self, PyObject *table_obj)
+{
+    Py_buffer table;
+    Py_ssize_t rows, cols, per_row, r, c;
+    const double *cell;
+    char *buf = NULL, *p;
+    PyObject *result = NULL;
+
+    if (get_array(table_obj, &table, "table", 2, "d", 0) < 0)
+        return NULL;
+    rows = table.shape[0];
+    cols = table.shape[1];
+    /* each cell with the comma or newline after it, and the newline of a row
+     * of no cells */
+    per_row = cols < PY_SSIZE_T_MAX / (2 * (CELL_MAX + 1))
+              ? cols * (CELL_MAX + 1) + 1 : PY_SSIZE_T_MAX;
+    if (rows <= (PY_SSIZE_T_MAX - 1) / per_row)
+        buf = PyMem_Malloc((size_t)(rows * per_row + 1));
+    if (buf == NULL) {
+        PyErr_NoMemory();
+        goto release;
+    }
+    p = buf;
+    cell = table.buf;
+    for (r = 0; r < rows; r++) {
+        for (c = 0; c < cols; c++, cell++) {
+            if (c)
+                *p++ = ',';
+            if (!isnan(*cell) && (p = format_cell(p, *cell)) == NULL)
+                goto free;
+        }
+        *p++ = '\n';
+    }
+    result = PyUnicode_DecodeASCII(buf, p - buf, NULL);
+free:
+    PyMem_Free(buf);
+release:
+    PyBuffer_Release(&table);
+    return result;
+}
+
+PyDoc_STRVAR(log_each_doc,
+"log_each(x, out)\n"
+"--\n\n"
+"Set ``out[i]`` to ``math.log(x[i])`` for 1-d float64 arrays of one size\n"
+"that do not overlap.  Raises ``ValueError`` as ``math.log`` does, for\n"
+"zero, negative and -inf values, and then writes nothing.");
+
+static PyObject *
+log_each(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *keywords[] = {"x", "out", NULL};
+    PyObject *x_obj, *out_obj, *result = NULL;
+    Py_buffer x, out;
+    Py_ssize_t i;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO:log_each", keywords,
+                                     &x_obj, &out_obj))
+        return NULL;
+    if (get_array(x_obj, &x, "x", 1, "d", 0) < 0)
+        return NULL;
+    if (get_array(out_obj, &out, "out", 1, "d", 1) < 0)
+        goto release_x;
+
+    if (out.shape[0] != x.shape[0])
+        PyErr_Format(PyExc_ValueError, "out needs %zd entries, got %zd",
+                     x.shape[0], out.shape[0]);
+    else if (overlap(&out, &x))
+        PyErr_SetString(PyExc_ValueError, "out must not overlap x");
+    else {
+        const double *xs = x.buf;
+        double *o = out.buf;
+
+        /* math.log's own test: a finite result from a finite input, or a NaN
+         * from a NaN */
+        for (i = 0; i < x.shape[0]; i++)
+            if (!(xs[i] > 0.0) && !isnan(xs[i]))
+                break;
+        if (i < x.shape[0])
+            PyErr_SetString(PyExc_ValueError, "math domain error");
+        else {
+            /* the libm log that math.log calls */
+            for (i = 0; i < x.shape[0]; i++)
+                o[i] = log(xs[i]);
+            result = Py_NewRef(Py_None);
+        }
+    }
+
+    PyBuffer_Release(&out);
+release_x:
+    PyBuffer_Release(&x);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"simulate", (PyCFunction)(void (*)(void))simulate,
      METH_VARARGS | METH_KEYWORDS, simulate_doc},
@@ -639,13 +815,17 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS, simulate_philox_doc},
     {"exact_expectations", (PyCFunction)(void (*)(void))exact_expectations,
      METH_VARARGS | METH_KEYWORDS, exact_expectations_doc},
+    {"format_table", format_table, METH_O, format_table_doc},
+    {"log_each", (PyCFunction)(void (*)(void))log_each,
+     METH_VARARGS | METH_KEYWORDS, log_each_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     "belldistil._trajectory_c",
-    "Compiled trajectory kernel and the exact expectation's backward induction.",
+    "Compiled trajectory kernel, the exact expectation's backward induction,\n"
+    "and the CSV writer and logarithm of the CLI tables.",
     -1,
     methods,
 };

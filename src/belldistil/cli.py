@@ -10,32 +10,33 @@ Subcommands::
     verify-oracle  closed-form maps vs the density-matrix simulation
 
 CSV cells are decimal floats with 12 significant digits, or empty where
-undefined (an ``nmin`` without a gain, the ``fig3`` ratio at A0 = 0); rows
-are ordered by the sweep variable and the file ends with a newline.  A
-``--start``/``--stop``/``--step`` grid holds the points start + i*step
-(rounded to 12 decimals) that do not pass ``--stop``.  Exit codes: 0
-success, 1 verification failure (also an oracle matrix off the Bell
-diagonal or read as no state), 2 usage error (also an unwritable ``--out`` path, a NaN or
-infinite coefficient or grid bound, a grid step below 1e-12, the resolution
-of the grid points, an empty ``fig4`` range, or a Monte Carlo stream index
-past 64 bits), 3 resource cap (an exact expectation above 4096 pairs, a
-Monte Carlo run of more than 10,000,000 trials or of more than
-8,000,000,000 trials * pairs, a grid of more than 100,000 points, or a
-``verify-oracle`` run of more than 1,000,000 samples).
+undefined (an ``nmin`` without a gain, the ``fig3`` ratio at A0 = 0), which
+the table marks with NaN; rows are ordered by the sweep variable and the
+file ends with a newline.  A ``--start``/``--stop``/``--step`` grid holds
+the points start + i*step (rounded to 12 decimals) that do not pass
+``--stop``.  Exit codes: 0 success, 1 verification failure (also an oracle
+matrix off the Bell diagonal or read as no state), 2 usage error (also an
+unwritable ``--out`` path, a NaN or infinite coefficient or grid bound, a
+grid step below 1e-12, the resolution of the grid points, an empty
+``fig4`` range, or a Monte Carlo stream index past 64 bits), 3 resource cap
+(an exact expectation above 4096 pairs, an exact sweep of more than
+80,000,000,000 states * n**2 for its largest effective count n, a Monte
+Carlo run of more than 10,000,000 trials or of more than 8,000,000,000
+trials * pairs, a grid of more than 100,000 points, or a ``verify-oracle``
+run of more than 1,000,000 samples).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 from dataclasses import replace
-from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import _kernels
 from .bell_core import (
     NORM_ATOL,
     BellDiagonalState,
@@ -120,13 +121,15 @@ def _werner_stack(grid: list[float]) -> np.ndarray:
     return np.array(_werner_coeffs(np.array(grid)))
 
 
-def _write_csv(path: str | None, header: list[str], rows: Iterable[str]) -> None:
-    """Write the table to ``path``, or to stdout when no path is given.
+def _write_csv(path: str | None, header: list[str], table: np.ndarray) -> None:
+    """Write ``header`` and the rows of ``table`` as CSV to ``path``, or to
+    stdout when no path is given.
 
-    ``rows`` holds each row's comma-joined cells.  It is read once and
-    joined with the header into one string before the single write, so the
-    whole table is held in memory even when ``rows`` is a generator."""
-    text = "".join(row + "\n" for row in itertools.chain([",".join(header)], rows))
+    ``table`` is a 2-d float array with one column per header name.  A cell
+    holds the text of ``format(x, '.12g')``, or nothing where x is NaN.  The
+    whole text is built in one compiled call before ``path`` is opened, and
+    written at once."""
+    text = ",".join(header) + "\n" + _kernels.format_table(np.ascontiguousarray(table))
     if path is None:
         sys.stdout.write(text)
         return
@@ -168,32 +171,20 @@ def cmd_step(args: argparse.Namespace) -> int:
     return 0
 
 
-def _nmin_cells(values: list[float | None]) -> Iterator[str]:
-    """The two cells of each ``n_min`` value, written as they are read: the
-    value and its round_up_even, 2 * ceil(x / 2) but at least 2, taken for
-    the whole column at once; both stay empty where there is no value (a
-    round cannot gain fidelity).  ``'%.12g' %`` writes the text of
-    ``format(x, '.12g')``."""
-    x = np.array(values, dtype=float)  # None reads NaN
-    even = np.maximum(2.0, np.ceil(np.where(np.isnan(x), 0.0, x) / 2.0) * 2.0)
-    return (
-        "," if v is None else "%.12g,%d" % (v, e)
-        for v, e in zip(values, even.astype(np.int64).tolist())
-    )
-
-
 def cmd_nmin(args: argparse.Namespace) -> int:
     grid = _a_grid(args.start, args.stop, args.step)
     stack = _werner_stack(grid)
-    columns = [
-        _nmin_cells(n_min(stack, conv))
-        for conv in (UnsuccessfulConvention.LOCC_FLOOR, UnsuccessfulConvention.CONDITIONAL)
-    ]
-    rows = map(",".join, zip(("%.12g" % a for a in grid), *columns))
+    columns = [grid]
+    for conv in (UnsuccessfulConvention.LOCC_FLOOR, UnsuccessfulConvention.CONDITIONAL):
+        # NaN where a round cannot gain fidelity (n_min gives None)
+        x = np.array(n_min(stack, conv), dtype=float)
+        # round_up_even for the whole column: integers below 2,200, which
+        # '.12g' writes as '%d' would
+        columns += [x, np.maximum(2.0, np.ceil(x / 2.0) * 2.0)]
     _write_csv(
         args.out,
         ["A", "nmin_locc", "nmin_locc_even", "nmin_conditional", "nmin_conditional_even"],
-        rows,
+        np.column_stack(columns),
     )
     return 0
 
@@ -225,13 +216,15 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     # turn: the first A0, then the counts, then the later A0s
     werner(grid[0])
     _exact_counts(args.n_list, policy)
-    cells = sweep_over_n(_werner_stack(grid), args.n_list, policy)
-    rows = [
-        # the ratio is undefined at A0 = 0 (or -0.0): its cells stay empty
-        ",".join([_fmt(a0)] + [_fmt(f / a0) if a0 else "" for f in values])
-        for a0, *values in zip(grid, *(column for _, column, _ in cells))
-    ]
-    _write_csv(args.out, ["A0"] + [f"ratio_N{n}" for n in args.n_list], rows)
+    values = np.array(
+        [column for _, column, _ in sweep_over_n(_werner_stack(grid), args.n_list, policy)]
+    )
+    a0 = np.array(grid)
+    # the ratio is undefined at A0 = 0 (or -0.0): NaN leaves its cells empty
+    ratios = np.divide(values, a0, out=np.full_like(values, np.nan), where=a0 != 0)
+    _write_csv(
+        args.out, ["A0"] + [f"ratio_N{n}" for n in args.n_list], np.column_stack([a0, ratios.T])
+    )
     return 0
 
 
@@ -242,13 +235,14 @@ def cmd_fig4(args: argparse.Namespace) -> int:
         )
     s0 = werner(args.a0)
     n_range = range(args.n_start, args.n_stop + 1)
-    rows = [
-        f"{n},{nobackup:.12g},{backup:.12g},{full:.12g}"
-        for (n, nobackup, full), (_, backup, _) in zip(
-            sweep_over_n(s0, n_range, NO_BACKUP), sweep_over_n(s0, n_range, BACKUP)
-        )
-    ]
-    _write_csv(args.out, ["N", "nobackup", "backup", "fully_successful"], rows)
+    # rows (n, value, reference); n is exact as a float
+    nobackup = np.array(sweep_over_n(s0, n_range, NO_BACKUP))
+    backup = np.array(sweep_over_n(s0, n_range, BACKUP))
+    _write_csv(
+        args.out,
+        ["N", "nobackup", "backup", "fully_successful"],
+        np.column_stack([nobackup[:, :2], backup[:, 1], nobackup[:, 2]]),
+    )
     return 0
 
 

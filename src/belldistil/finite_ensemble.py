@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .bell_core import (
     BellDiagonalState,
     _checked_stack,
@@ -110,8 +111,11 @@ def _round_terms(coeffs, conv: UnsuccessfulConvention):
 
 
 def _log(x: np.ndarray) -> np.ndarray:
-    """``math.log`` per value; ``np.log`` differs in the last bit for some inputs."""
-    return np.array(list(map(math.log, x.tolist())))
+    """``math.log`` per value, with its bits and its ``ValueError``;
+    ``np.log`` differs in the last bit for some inputs."""
+    out = np.empty_like(x)
+    _kernels.log_each(x, out)
+    return out
 
 
 def n_min(

@@ -23,6 +23,7 @@ from belldistil import (
     round_up_even,
     werner,
 )
+from belldistil._kernels import format_table
 from belldistil.cli import _GRID_POINT_CAP, _POLICIES, _a_grid, _fmt, main
 from per_state import per_state
 
@@ -259,13 +260,55 @@ def test_grid_gives_the_points_of_round_bytewise():
 
 
 def test_percent_format_writes_the_text_of_format():
-    # nmin writes its floats with '%.12g' %, the other tables with format
+    # format_table writes a cell in fixed point where the 12-digit mantissa
+    # is beyond doubt, 1e-4 <= |x| < 1e11 away from a tie, and through the
+    # routine behind both '%.12g' % and format elsewhere: every cell must be
+    # the text of format(x, '.12g'), and a NaN an empty cell
     rng = np.random.default_rng(24)
     values = (rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64).tolist()
               + (10.0 ** rng.uniform(-20, 20, 20_000)).tolist()
               + [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 999999999999.5,
                  0.5, 1.0, 2.0, 1e16, 123456789012.5, 1e-5, 0.0001])
+    # the edges of the fixed-point path, its near ties, grid points and the
+    # even columns of nmin
+    values += [1e-4, 1e11, 9.999999999995, 99999999999.95, -0.0, 5e-324]
+    values += [math.nextafter(x, to) for x in (1e-4, 1e11) for to in (0.0, math.inf)]
+    values += [x * 10.0**e for x in (9.9999999999995, 1.000000000005, -5.500000000005)
+               for e in range(-6, 13)]
+    # exact ties at the 13th digit, which round half to even
+    values += [n + f for n in (12345678901.0, -98765432109.0) for f in (0.25, 0.75)]
+    values += [n + f for n in (1234567890.0, 9876543210.0) for f in (0.125, 0.375, 0.625)]
+    values += [round(x, int(d)) for x, d in zip(rng.uniform(-3000, 3000, 10_000).tolist(),
+                                                rng.integers(0, 13, 10_000))]
+    values += [float(n) for n in range(2200)]
     assert ["%.12g" % x for x in values] == [format(x, ".12g") for x in values]
+    assert format_table(np.array(values)[:, None]) == "".join(
+        ("" if math.isnan(x) else format(x, ".12g")) + "\n" for x in values)
+
+
+def test_table_cells_sit_between_commas():
+    nan = math.nan
+    table = np.array([[1.5, nan, -2.0], [nan, nan, 0.1], [3.0, 4.0, nan]])
+    assert format_table(table) == "1.5,,-2\n,,0.1\n3,4,\n"
+    assert format_table(np.empty((0, 3))) == ""
+    table.flags.writeable = False  # the table is only read
+    assert format_table(table[1:]) == ",,0.1\n3,4,\n"
+
+
+def test_table_writer_rejects_bad_input():
+    table = np.arange(6.0).reshape(2, 3)
+    bad = {
+        "float32": (ValueError, table.astype(np.float32)),
+        "int64": (ValueError, table.astype(np.int64)),
+        "1-d": (ValueError, table.ravel()),
+        "3-d": (ValueError, table[None]),
+        "non-contiguous": (ValueError, table[:, ::2]),
+        "Fortran order": (ValueError, np.asfortranarray(table)),
+        "a list": (TypeError, table.tolist()),
+    }
+    for error, arg in bad.values():
+        with pytest.raises(error):
+            format_table(arg)
 
 
 @pytest.mark.parametrize("a", [0.505, 0.6, 0.123456789])

@@ -14,6 +14,7 @@ from belldistil import (
     survivor_pmf,
     werner,
 )
+from belldistil._kernels import log_each
 from belldistil.bell_core import _failure_coeffs
 from belldistil.finite_ensemble import (
     _fallback_fidelity,
@@ -161,6 +162,70 @@ class TestNMin:
         assert all(g > 0 for g in gaps)
         # the conditional penalty grows as the input approaches the boundary
         assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
+
+
+class TestLogEach:
+    """``n_min`` takes its logarithms with ``log_each``, which must give the
+    bits of ``math.log`` and raise where it does."""
+
+    def test_bits_of_math_log(self):
+        rng = np.random.default_rng(26)
+        # bit patterns of positive finite doubles, subnormals among them
+        x = np.concatenate([
+            rng.integers(1, 0x7FF0000000000000, 100_000, dtype=np.uint64).view(np.float64),
+            rng.integers(1, 2**52, 1_000, dtype=np.uint64).view(np.float64),
+            [5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.0,
+             np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1.7976931348623157e308,
+             math.inf],
+        ])
+        out = np.empty_like(x)
+        log_each(x, out)
+        assert out.tobytes() == np.array([math.log(v) for v in x.tolist()]).tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -5e-324, -1.0, -math.inf])
+    def test_raises_where_math_log_does(self, bad):
+        with pytest.raises(ValueError):
+            math.log(bad)
+        out = np.full(3, 7.0)
+        with pytest.raises(ValueError, match="^math domain error$"):
+            log_each(np.array([2.0, bad, 3.0]), out)
+        assert (out == 7.0).all()
+
+    def test_nan_passes_through(self):
+        out = np.empty(3)
+        log_each(np.array([1.0, math.nan, math.e]), out)
+        assert out[0] == 0.0 and math.isnan(out[1]) and out[2] == math.log(math.e)
+
+    def test_rejects_bad_input(self):
+        x = np.array([1.0, 2.0, 3.0])
+        # out is a view between sentinels, so a stray write shows
+        out_base = np.full(5, -1.0)
+        out = out_base[1:-1]
+        read_only = np.empty(3)
+        read_only.flags.writeable = False
+        bad = {
+            "float32 x": (ValueError, dict(x=x.astype(np.float32))),
+            "int64 x": (ValueError, dict(x=x.astype(np.int64))),
+            "2-d x": (ValueError, dict(x=x[None])),
+            "non-contiguous x": (ValueError, dict(x=np.arange(1.0, 7.0)[::2])),
+            "a list as x": (TypeError, dict(x=x.tolist())),
+            "float32 out": (ValueError, dict(out=np.empty(3, dtype=np.float32))),
+            "2-d out": (ValueError, dict(out=np.empty((1, 3)))),
+            "non-contiguous out": (ValueError, dict(out=np.empty(6)[::2])),
+            "read-only out": (ValueError, dict(out=read_only)),
+            "out shorter than x": (ValueError, dict(out=out_base[1:-2])),
+            "out longer than x": (ValueError, dict(out=out_base[1:])),
+        }
+        for name, (error, override) in bad.items():
+            args = dict(x=x, out=out)
+            args.update(override)
+            with pytest.raises(error):
+                log_each(**args)
+            assert (out_base == -1.0).all(), name
+        shared = np.arange(1.0, 6.0)
+        with pytest.raises(ValueError, match="overlap"):
+            log_each(shared[:3], shared[1:4])
+        assert (shared == np.arange(1.0, 6.0)).all()
 
 
 class TestRoundUpEven:
