@@ -4,6 +4,10 @@ and the CSV writer and logarithm of the CLI tables.
 ``_trajectory_c`` is built from ``_trajectory_c.c`` by ``setup.py``; there
 is no fallback.  Without it, importing this module (and so ``belldistil``)
 raises an ``ImportError`` that names the module and the build command.
+``PHILOX`` names the path that computes the Monte Carlo's whole Philox
+blocks: ``"avx512"``, 18 blocks per step in AVX-512 lanes, which the module
+picks at load time on an x86-64-v4 CPU when built by GCC 12 or later, or
+``"scalar"``, one block at a time, everywhere else.  Both give the same bits.
 ``_trajectory_py`` holds the reference loop that tests compare the kernel
 against; the tests hold the numpy induction that ``exact_expectations``
 replaced.
@@ -19,6 +23,7 @@ same libm ``log`` and raises where ``math.log`` does.
 try:
     from ._trajectory_c import (
         IMPL,
+        PHILOX,
         exact_expectations,
         format_table,
         log_each,

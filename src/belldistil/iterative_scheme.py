@@ -56,9 +56,10 @@ MC_TRIALS_CAP = 10_000_000
 
 #: Largest trials * n accepted by the Monte Carlo estimate.  A trajectory on
 #: n pairs reads up to n uniforms, and the kernel gets through trials * n
-#: at 4.0e8 per second on one core when it reads nearly all of them
-#: (werner(0.99)) and 5.6e8 at werner(0.55) (x86-64, 2 CPUs, n = 8192 and
-#: 2**20), so a run at the cap ends in about 20 s.
+#: at 5.6e8 per second on one core when it reads nearly all of them
+#: (werner(0.99)) and 7.7e8 to 8.2e8 at werner(0.55) with the AVX-512
+#: Philox, or 3.8e8 and 5.2e8 with the scalar one (x86-64, 2 CPUs, n = 8192
+#: and 2**20), so a run at the cap ends in about 14 s, or 21 s.
 MC_WORK_CAP = 8_000_000_000
 
 #: Largest states * n**2 accepted by an exact sweep, n its largest effective
@@ -289,19 +290,21 @@ def _tally_sum(values: list[float], counts: list[int]) -> float:
 
 def _exact_counts(
     n_range: range | list[int], policy: IterationPolicy
-) -> list[tuple[int, int]]:
-    """Each pair count with its effective count, checked in order (n >= 1,
+) -> tuple[list[int], list[int], list[int]]:
+    """The pair counts, their effective counts and the depths of their
+    all-success runs, in one pass that checks each count in order (n >= 1,
     then the cap)."""
-    counts = []
-    for n in n_range:
+    ns, counts, depths = list(n_range), [], []
+    for n in ns:
         m = _effective_n(n, policy)
         if m > EXACT_N_CAP:
             raise ResourceCapError(
                 f"exact expectation capped at n = {EXACT_N_CAP}; "
                 "use expected_fidelity_mc for larger samples"
             )
-        counts.append((n, m))
-    return counts
+        counts.append(m)
+        depths.append(depth_cap(n))
+    return ns, counts, depths
 
 
 def sweep_over_n(
@@ -323,10 +326,10 @@ def sweep_over_n(
     built, and its columns are used as given.
     """
     s0 = s0 if isinstance(s0, BellDiagonalState) else _checked_stack(s0)
-    counts = _exact_counts(n_range, policy)
-    if not counts:
+    ns, counts, depths = _exact_counts(n_range, policy)
+    if not ns:
         return []
-    top_n, top_m = max(n for n, _ in counts), max(m for _, m in counts)
+    top_n, top_m = max(ns), max(counts)
     if isinstance(s0, BellDiagonalState):
         states, shape, chunks = 1, (len(counts),), [(..., s0)]
     else:
@@ -345,7 +348,7 @@ def sweep_over_n(
     for columns, chunk in chunks:
         # dropping a pair can lower depth_cap, so the depth table follows the raw count
         fid, psucc = _depth_tables(chunk, top_n)
-        values[columns] = _exact_table(fid, psucc, [m for _, m in counts], policy).T
-        references[columns] = fid[[depth_cap(n) for n, _ in counts]]
+        values[columns] = _exact_table(fid, psucc, counts, policy).T
+        references[columns] = fid[depths]
     values = values.tolist()
-    return [(n, v, r) for (n, _), v, r in zip(counts, values, references.tolist())]
+    return list(zip(ns, values, references.tolist()))

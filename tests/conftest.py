@@ -8,7 +8,8 @@ a no-op when nothing changed.  The build never raises: if it fails, the
 package has no kernel to import, so every test module that imports
 ``belldistil`` fails at collection with an ``ImportError`` naming the
 build command, and the report header shows the build's last lines.  The
-header always names the kernel, or why it could not be imported.
+header always names the kernel and the Philox path it runs (``avx512`` or
+``scalar``), or why the kernel could not be imported.
 """
 
 import subprocess
@@ -41,7 +42,7 @@ def pytest_report_header(config):
     try:
         from belldistil import _kernels
 
-        impl = _kernels.IMPL
+        impl = f"{_kernels.IMPL}, PHILOX = {_kernels.PHILOX}"
     except Exception as exc:  # the header must not abort the session
         impl = f"unavailable ({exc!r})"
     lines = [f"belldistil trajectory kernel: IMPL = {impl}"]

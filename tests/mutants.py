@@ -1,0 +1,203 @@
+"""Mutation gate for the bit claims of the Monte Carlo kernel.
+
+Run from anywhere, with gcc, numpy and pytest installed::
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME ...     # the named mutants only
+
+Each mutant is one source edit of a file under ``src/belldistil/``, whose
+``old`` text must occur exactly once.  The script copies the tracked files
+of the working tree into a temporary directory and checks that the
+unmutated copy passes the bit and twin tests (``TESTS``).  Then, for each
+mutant, it applies the edit there, rebuilds the extension when the edit is
+in C, and runs the same tests; the mutant is killed when a test fails, the
+interpreter crashes or the run times out.  It exits 1 when a mutant that is
+not in ``ACCEPTED`` survives, or when an edit does not apply or does not
+build.
+
+Mutants of the AVX-512 Philox (``avx512=True``) run only where the built
+kernel reports ``PHILOX == "avx512"``; elsewhere that code never runs, and
+they are listed as not run.  Accepted survivors run too, so a test that
+comes to kill one shows.  pytest does not collect this file: it is a CI step
+beside the sanitizer build, not a tier-1 test.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TESTS = ["tests/test_iterative_scheme.py", "tests/test_float_core.py"]
+KERNEL = "src/belldistil/_trajectory_c.c"
+SCHEME = "src/belldistil/iterative_scheme.py"
+#: A mutant that makes a loop endless fails its run after this many seconds.
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    avx512: bool = False
+
+
+MUTANTS = [
+    # the AVX-512 Philox of count_whole_blocks
+    Mutant("vector high word without the carry of mid2", KERNEL,
+           "_mm512_add_epi64(_mm512_add_epi64(hh, _mm512_srli_epi64(mid1, 32)),\n"
+           "                            _mm512_srli_epi64(mid2, 32))",
+           "_mm512_add_epi64(hh, _mm512_srli_epi64(mid1, 32))", avx512=True),
+    Mutant("vector low word blended with mask 0x5555", KERNEL,
+           "_mm512_mask_blend_epi32(0xAAAA,", "_mm512_mask_blend_epi32(0x5555,",
+           avx512=True),
+    Mutant("vector lane counters one low", KERNEL,
+           "_mm512_set_epi64(8, 7, 6, 5, 4, 3, 2, 1)",
+           "_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0)", avx512=True),
+    Mutant("second vector keeps the first round key", KERNEL,
+           "philox_round8(v, q0, q1);",
+           "philox_round8(v, _mm512_set1_epi64((long long)k0), q1);", avx512=True),
+    Mutant("vector compare cmple in place of cmplt", KERNEL,
+           "_mm512_cmplt_epu64_mask", "_mm512_cmple_epu64_mask", avx512=True),
+    Mutant("eight-block step run on seven blocks", KERNEL,
+           "for (; b + 8 <= end; b += 8)", "for (; b + 7 <= end; b += 8)",
+           avx512=True),
+    Mutant("scalar pair given the vectors' counters", KERNEL,
+           "x[0] = b + 17;\n        y[0] = b + 18;",
+           "x[0] = b + 1;\n        y[0] = b + 9;", avx512=True),
+    # the integer compare, the block cache and the tallies
+    Mutant("<= in the whole-block compare", KERNEL,
+           "return ((x[0] >> 11) < t)", "return ((x[0] >> 11) <= t)"),
+    Mutant("<= in the cached compare", KERNEL,
+           "j += (s->last[lo] >> 11) < t;", "j += (s->last[lo] >> 11) <= t;"),
+    Mutant("threshold truncated in place of ceil", KERNEL,
+           "return (uint64_t)ceil(p * 0x1.0p53);", "return (uint64_t)(p * 0x1.0p53);"),
+    Mutant("NaN sent to the cast", KERNEL,
+           "if (!(p > 0.0))", "if (p <= 0.0)"),
+    Mutant("cache index off by one", KERNEL,
+           "s->block = b;", "s->block = b + 1;"),
+    Mutant("head block skipped", KERNEL,
+           "j += count_cached(s, b, start % 4,", "j += 0 * count_cached(s, b, start % 4,"),
+    Mutant("depth 0 tallied as failure", KERNEL,
+           "cs[k >= 0 ? k : depth_count]++;", "cs[k > 0 ? k : depth_count]++;"),
+    Mutant("a backup that no deeper pair replaces", KERNEL,
+           "if (backup_enabled)\n                backup = depth;",
+           "if (backup_enabled && backup < 0)\n                backup = depth;"),
+    Mutant("failure tallied one slot early", KERNEL,
+           "cs[k >= 0 ? k : depth_count]++;", "cs[k >= 0 ? k : depth_count - 1]++;"),
+    Mutant("p >= 1 threshold one below 2**53", KERNEL,
+           "return (uint64_t)1 << 53;", "return ((uint64_t)1 << 53) - 1;"),
+    # the sweep's all-success reference
+    Mutant("reference depth of the effective count", SCHEME,
+           "depths.append(depth_cap(n))", "depths.append(depth_cap(m))"),
+]
+
+#: Survivors that no test can see, with the reason.
+ACCEPTED = {
+    "p >= 1 threshold one below 2**53":
+        "it differs only on a stream word whose top 53 bits are all ones "
+        "(probability 2**-53 per word): no drawn double is 1 - 2**-53",
+}
+
+
+def run(cmd: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True, timeout=TIMEOUT_S)
+
+
+def build(tree: Path) -> str | None:
+    """Rebuilds the extension in place; returns the build's tail on failure."""
+    proc = run([sys.executable, "setup.py", "build_ext", "--inplace", "--force"], tree)
+    return None if proc.returncode == 0 else "\n".join(proc.stdout.splitlines()[-15:])
+
+
+def run_tests(tree: Path) -> tuple[bool, str]:
+    """Whether the tests pass, and the first failure or the summary line."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS]
+    try:
+        proc = run(cmd, tree)
+    except subprocess.TimeoutExpired:
+        return False, f"timed out after {TIMEOUT_S} s"
+    lines = proc.stdout.splitlines()
+    if proc.returncode < 0:
+        return False, f"crashed with signal {-proc.returncode}"
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"pytest exited {proc.returncode}:\n" + "\n".join(lines[-15:]))
+    failed = [line for line in lines if line.startswith("FAILED ")]
+    return proc.returncode == 0, (failed or lines[-1:] or [""])[0]
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}")
+        return 2
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    files = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, check=True,
+                           stdout=subprocess.PIPE).stdout.decode().split("\0")
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        for name in files:
+            if not (ROOT / name).is_file():  # the empty tail, or a deleted file
+                continue
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            (tree / name).write_bytes((ROOT / name).read_bytes())
+        error = build(tree)
+        if error:
+            print(f"the unmutated copy does not build:\n{error}")
+            return 1
+        passed, summary = run_tests(tree)
+        if not passed:
+            print(f"the unmutated copy fails its tests: {summary}")
+            return 1
+        philox = run([sys.executable, "-c",
+                      "from belldistil import _kernels; print(_kernels.PHILOX)"],
+                     tree).stdout.strip()
+        print(f"unmutated copy passes ({summary}); PHILOX = {philox}")
+        for m in mutants:
+            if m.avx512 and philox != "avx512":
+                print(f"NOT RUN    {m.name}: the AVX-512 Philox does not run here")
+                continue
+            path = tree / m.path
+            source = path.read_text()
+            if source.count(m.old) != 1:
+                print(f"ERROR      {m.name}: the edit occurs {source.count(m.old)} times")
+                bad += 1
+                continue
+            start = time.perf_counter()
+            try:
+                path.write_text(source.replace(m.old, m.new))
+                error = build(tree) if m.path == KERNEL else None
+                passed, summary = (False, "") if error else run_tests(tree)
+            finally:
+                path.write_text(source)
+            seconds = time.perf_counter() - start
+            if error:
+                print(f"ERROR      {m.name}: the mutant does not build:\n{error}")
+                bad += 1
+            elif not passed:
+                print(f"killed     {m.name} ({seconds:.1f} s): {summary}")
+            elif m.name in ACCEPTED:
+                print(f"accepted   {m.name} ({seconds:.1f} s): {ACCEPTED[m.name]}")
+            else:
+                print(f"SURVIVED   {m.name} ({seconds:.1f} s)")
+                bad += 1
+            if m.path == KERNEL:
+                error = build(tree)
+                if error:
+                    print(f"the restored copy does not build:\n{error}")
+                    return 1
+    print(f"{len(mutants)} mutants, {bad} survived or failed to apply or build")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

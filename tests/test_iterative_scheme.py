@@ -410,6 +410,29 @@ class TestExpectedFidelityMC:
                 psucc = np.full(len(fid), p)
                 self.assert_philox_twins(seed, n, first, trials, psucc, fid)
 
+    def test_vector_groups_at_the_top_of_the_stream(self):
+        # The last trials whose stream index (first + trials) * n fits in 64
+        # bits end (2**64 - 1) % n doubles below 2**64 - 1: 510 at n = 513
+        # and 4095 at n = 8193, 7 and 57 groups of 18 blocks, the closest
+        # any first trial comes.  Their first rounds run whole groups of
+        # blocks whose counters, near 2**62, have high 32-bit halves that
+        # enter even the first round's multiplies.
+        trials = 8
+        for seed, n in itertools.product((2**64 - 1, 2**127 + 3), (513, 8193)):
+            k0, k1 = (int(w) for w in np.random.Philox(key=seed).state["state"]["key"])
+            first = (2**64 - 1) // n - trials
+            fid, psucc = _depth_tables(WERNER_075, n)
+            for flags in itertools.product((True, False), (True, False), (0.5, 0.37)):
+                runs = []
+                for impl in (simulate_philox, _trajectory_py.simulate_philox):
+                    out = np.empty(trials)
+                    counts = np.zeros(depth_cap(n) + 2, dtype=np.int64)
+                    impl(k0, k1, first, n, psucc, fid, *flags, out, counts)
+                    runs.append((out, counts))
+                case = (seed, n, *flags)
+                assert np.array_equal(runs[0][0], runs[1][0]), case
+                assert np.array_equal(runs[0][1], runs[1][1]), case
+
     @staticmethod
     def assert_philox_twins(seed, n, first, trials, psucc, fid):
         """``simulate_philox`` from trial ``first`` on, ``simulate`` and the
@@ -526,21 +549,18 @@ class TestExpectedFidelityMC:
                 _trajectory_c.simulate_philox(**args)
             assert (out_base == -1.0).all() and (counts_base == 7).all(), name
         # the top of the index range matches the reference loop on the same
-        # doubles drawn by numpy (the counter advances once per four doubles)
+        # doubles drawn by numpy from the trials' counter
         counts[:] = 0
         _trajectory_c.simulate_philox(5, 1, top, n, psucc, fid, True, True, 0.5,
                                       out, counts)
         assert out_base[0] == out_base[-1] == -1.0
         assert counts_base[0] == counts_base[-1] == 7
-        counter, skip = divmod(top * n, 4)
-        rng = np.random.Generator(np.random.Philox(key=5 | 1 << 64, counter=counter))
-        rng.random(skip)
-        u = rng.random((trials, n))
         ref_out = np.empty(trials)
-        _trajectory_py.simulate(u, n, psucc, fid, True, True, 0.5, ref_out,
-                                np.zeros(trials, dtype=np.uint8))
+        ref_counts = np.zeros(entries, dtype=np.int64)
+        _trajectory_py.simulate_philox(5, 1, top, n, psucc, fid, True, True, 0.5,
+                                       ref_out, ref_counts)
         assert np.array_equal(out, ref_out)
-        assert np.array_equal(counts, reference_tally(u, n, psucc, True, True))
+        assert np.array_equal(counts, ref_counts)
 
     def test_missing_kernel_fails_at_import(self):
         # a fresh interpreter in which the compiled module cannot be imported
@@ -559,6 +579,12 @@ class TestExpectedFidelityMC:
         assert last.startswith("ImportError: ")
         assert "belldistil._trajectory_c" in last
         assert "build_ext --inplace" in last
+
+
+def test_kernel_names_its_philox_path():
+    from belldistil import _kernels
+
+    assert _kernels.PHILOX in ("avx512", "scalar")
 
 
 def test_every_public_name_resolves():
