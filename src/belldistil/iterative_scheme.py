@@ -32,6 +32,7 @@ every depth table stops there.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +136,7 @@ def _depth_tables(
 
 
 def _effective_n(n: int, policy: IterationPolicy) -> int:
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"pair count must be >= 1, got {n}")
     if policy.drop_one_when_even and n % 2 == 0:
@@ -145,6 +147,7 @@ def _effective_n(n: int, policy: IterationPolicy) -> int:
 def fully_successful_fidelity(s0: BellDiagonalState, n: int) -> float:
     """Reference curve: fidelity after the depth_cap(n) rounds of an
     all-success run, n halving down to a single pair."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"pair count must be >= 1, got {n}")
     return iterate_map(s0, depth_cap(n)).a
@@ -214,8 +217,11 @@ def expected_fidelity_mc(
     index past 64 bits ``ValueError``, before anything is allocated.  The
     work grows with trials * n, so more than ``MC_WORK_CAP`` raises
     :class:`ResourceCapError` after the depth tables (a few dozen entries)
-    and before the results are allocated.
+    and before the results are allocated.  Counts are taken through
+    ``operator.index``: a numpy integer acts as the Python int, and a float
+    raises ``TypeError``.
     """
+    trials, workers = operator.index(trials), operator.index(workers)
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
     if trials > MC_TRIALS_CAP:
@@ -294,14 +300,15 @@ def _exact_counts(
     """The pair counts, their effective counts and the depths of their
     all-success runs, in one pass that checks each count in order (n >= 1,
     then the cap)."""
-    ns, counts, depths = list(n_range), [], []
-    for n in ns:
+    ns, counts, depths = [], [], []
+    for n in map(operator.index, n_range):
         m = _effective_n(n, policy)
         if m > EXACT_N_CAP:
             raise ResourceCapError(
                 f"exact expectation capped at n = {EXACT_N_CAP}; "
                 "use expected_fidelity_mc for larger samples"
             )
+        ns.append(n)
         counts.append(m)
         depths.append(depth_cap(n))
     return ns, counts, depths

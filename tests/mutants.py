@@ -1,4 +1,4 @@
-"""Mutation gate for the bit claims of the Monte Carlo kernel.
+"""Mutation gate for the bit claims of the compiled kernels.
 
 Run from anywhere, with gcc, numpy and pytest installed::
 
@@ -93,6 +93,34 @@ MUTANTS = [
            "cs[k >= 0 ? k : depth_count]++;", "cs[k >= 0 ? k : depth_count - 1]++;"),
     Mutant("p >= 1 threshold one below 2**53", KERNEL,
            "return (uint64_t)1 << 53;", "return ((uint64_t)1 << 53) - 1;"),
+    # the exact induction: its averaging loop, column layout, odd rows and
+    # stop rule, and the MXCSR it sets
+    Mutant("averaging loop one element short", KERNEL,
+           "end = (rows - step) * m;", "end = (rows - step) * m - 1;"),
+    Mutant("depth-1 slots laid out backup first", KERNEL,
+           "    if (has_even || (has_odd && !pl->backup_enabled))\n"
+           "        pl->slot[m++] = 0;\n"
+           "    if (has_odd && pl->backup_enabled)\n"
+           "        pl->slot[m++] = 1;\n",
+           "    if (has_odd && pl->backup_enabled)\n"
+           "        pl->slot[m++] = 1;\n"
+           "    if (has_even || (has_odd && !pl->backup_enabled))\n"
+           "        pl->slot[m++] = 0;\n"),
+    Mutant("depth-0 odd column left out for 3", KERNEL,
+           "has_odd |= c % 2 == 1 && c >= 3;", "has_odd |= c % 2 == 1 && c >= 5;"),
+    Mutant("backup column skipped at a count of 3", KERNEL,
+           "if (pl->backup_enabled && (pl->n >> d) >= 3)",
+           "if (pl->backup_enabled && (pl->n >> d) > 3)"),
+    Mutant("odd row reads the no-backup column", KERNEL,
+           "row[i] = w[m - 1];", "row[i] = w[0];"),
+    Mutant("stop rule not written", KERNEL,
+           "            if (pl->stop_at_two && (d == 0 || pl->slot[0] == 0))\n"
+           "                b[2 * mv] = loss[d];\n", ""),
+    Mutant("stop rule applied to a backup column", KERNEL,
+           "if (pl->stop_at_two && (d == 0 || pl->slot[0] == 0))",
+           "if (pl->stop_at_two)"),
+    Mutant("FTZ/DAZ left set after the call", KERNEL,
+           "        _mm_setcsr(csr);\n", ""),
     # the sweep's all-success reference
     Mutant("reference depth of the effective count", SCHEME,
            "depths.append(depth_cap(n))", "depths.append(depth_cap(m))"),

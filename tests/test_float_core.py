@@ -43,6 +43,8 @@ from belldistil.iterative_scheme import (
     depth_cap,
 )
 
+from rounding import MODES, rounding
+
 #: The Werner grid of ``nmin --step 0.001``, 200 random states and a few edges.
 STATES = (
     [werner(a) for a in _a_grid(0.505, 0.995, 0.001)]
@@ -423,6 +425,36 @@ def test_exact_expectations_leave_subnormals_on():
     sweep_over_n(stack([werner(0.99), werner(0.999)]), [2048, 4095], BACKUP)
     for half in (tiny / 2, (np.array([tiny]) / 2).item()):
         assert 0.0 < half < tiny
+
+
+ROUNDING_COUNTS = [4, 5, 12, 64, 1024, 4096]
+
+
+def rounded_outputs():
+    """The exact sweep under every policy, ``n_min`` on the ``nmin`` grid
+    under both conventions and the step maps on 64 random states, flat."""
+    werners = _werner_stack([0.55, 0.6, 0.75, 0.95, 0.999])
+    values = [np.ravel([row[1:] for row in sweep_over_n(werners, ROUNDING_COUNTS, policy)])
+              for policy in POLICIES]
+    grid = _werner_stack(_a_grid(0.505, 0.995, 0.005))
+    values += [np.array(n_min(grid, conv), dtype=float) for conv in UnsuccessfulConvention]
+    states = np.random.default_rng(14).dirichlet(np.ones(4), size=64).T
+    p, success, failure, _ = _step_coeffs(*states)
+    values += [p, *success, *failure]
+    return np.concatenate(values)
+
+
+def test_rounding_modes_move_the_exact_values_by_under_1e_12():
+    runs = []
+    for mode in MODES:
+        with rounding(mode):
+            runs.append(rounded_outputs())
+    runs = np.array(runs)
+    spread = runs.max(axis=0) - runs.min(axis=0)
+    assert np.isfinite(runs).all()
+    # the modes took in the engines, and moved nothing past the contract
+    assert 0.0 < spread.max() <= 1e-12
+    np.testing.assert_array_equal(rounded_outputs(), runs[MODES.index("nearest")])
 
 
 def test_exact_expectations_reject_bad_buffers():

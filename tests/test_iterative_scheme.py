@@ -627,6 +627,29 @@ class TestSweeps:
             assert reference >= value - 1e-12
 
 
+#: Calls that take pair, trial or worker counts, given a way to make them:
+#: ``kind`` applied to a number or to a list of them.
+COUNT_CALLS = {
+    "exact": lambda kind: expected_fidelity_exact(kind(5), WERNER_075, BACKUP),
+    "sweep": lambda kind: sweep_over_n(WERNER_075, kind([3, 4, 5]), BACKUP),
+    "mc pairs": lambda kind: expected_fidelity_mc(kind(12), WERNER_075, BACKUP, 100, 0),
+    "mc trials": lambda kind: expected_fidelity_mc(12, WERNER_075, BACKUP, kind(100), 0),
+    "mc workers": lambda kind: expected_fidelity_mc(12, WERNER_075, BACKUP, 100, 0,
+                                                    workers=kind(2)),
+    "reference": lambda kind: fully_successful_fidelity(WERNER_075, kind(5)),
+}
+
+
+@pytest.mark.parametrize("call", COUNT_CALLS.values(), ids=COUNT_CALLS.keys())
+def test_counts_are_integers_at_the_entry(call):
+    # repr shows the bits of each float and any numpy scalar type
+    want = repr(call(lambda x: x))
+    for kind in (np.int64, np.int32, np.uint64):
+        assert repr(call(kind)) == want, kind
+    with pytest.raises(TypeError):
+        call(np.float64)
+
+
 #: SHA-256 over ``float.hex`` of the 50,460 values and references of
 #: ``exact_pin_sweeps``, one per line; taken before the exact table's state
 #: axis moved to the front.
