@@ -8,9 +8,9 @@ raises an ``ImportError`` that names the module and the build command.
 blocks: ``"avx512"``, 18 blocks per step in AVX-512 lanes, which the module
 picks at load time on an x86-64-v4 CPU when built by GCC 12 or later, or
 ``"scalar"``, one block at a time, everywhere else.  Both give the same bits.
-``_trajectory_py`` holds the reference loop that tests compare the kernel
-against; the tests hold the numpy induction that ``exact_expectations``
-replaced.
+``_trajectory_py`` holds the one reference entry, ``simulate``, that tests
+compare the kernel against; the tests hold the numpy induction that
+``exact_expectations`` replaced.
 
 ``format_table`` writes a float table as CSV text, each cell the bytes of
 ``format(x, '.12g')``: a cell whose 12-digit mantissa a double computes

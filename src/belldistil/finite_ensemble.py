@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,8 @@ def binomial_pmf(m: int, p: float) -> list[float]:
     """Probability mass function of Binomial(m, p) as a list of length m + 1."""
     if m < 0:
         raise ValueError(f"trial count must be >= 0, got {m}")
+    if not 0.0 <= p <= 1.0:  # NaN fails too
+        raise ValueError(f"probability p must be in [0, 1], got {p}")
     q = 1.0 - p
     if m <= _EXACT_COMB_LIMIT:
         return [math.comb(m, j) * p**j * q ** (m - j) for j in range(m + 1)]
@@ -70,14 +73,17 @@ def binomial_pmf(m: int, p: float) -> list[float]:
     return out
 
 
-def _require_even(n: int) -> None:
+def _require_even(n: int) -> int:
+    """``n`` through ``operator.index``, checked to be a positive even count."""
+    n = operator.index(n)
     if n < 2 or n % 2:
         raise ValueError(f"sample size must be a positive even count, got {n}")
+    return n
 
 
 def survivor_pmf(n: int, s: BellDiagonalState) -> RoundStats:
     """Distribution of the number of pairs surviving one round on n pairs."""
-    _require_even(n)
+    n = _require_even(n)
     p = success_probability(s)
     return RoundStats(n_pairs=n, p_success=p, pmf=binomial_pmf(n // 2, p))
 
@@ -97,7 +103,7 @@ def avg_fidelity_one_round(
     n: int, s: BellDiagonalState, conv: UnsuccessfulConvention
 ) -> float:
     """Round-averaged fidelity: all-fail weight takes F_u, the rest F(success)."""
-    _require_even(n)
+    n = _require_even(n)
     f_s, f_u, fail = _round_terms(s.as_tuple(), conv)
     p_all_fail = fail ** (n // 2)
     return p_all_fail * f_u + (1.0 - p_all_fail) * f_s

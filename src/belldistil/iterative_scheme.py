@@ -217,11 +217,11 @@ def expected_fidelity_mc(
     index past 64 bits ``ValueError``, before anything is allocated.  The
     work grows with trials * n, so more than ``MC_WORK_CAP`` raises
     :class:`ResourceCapError` after the depth tables (a few dozen entries)
-    and before the results are allocated.  Counts are taken through
-    ``operator.index``: a numpy integer acts as the Python int, and a float
-    raises ``TypeError``.
+    and before the results are allocated.  Counts and the seed are taken
+    through ``operator.index``: a numpy integer acts as the Python int, and
+    a float, a str or None raises ``TypeError``.
     """
-    trials, workers = operator.index(trials), operator.index(workers)
+    trials, workers, seed = map(operator.index, (trials, workers, seed))
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
     if trials > MC_TRIALS_CAP:

@@ -13,7 +13,8 @@ mutant, it applies the edit there, rebuilds the extension when the edit is
 in C, and runs the same tests; the mutant is killed when a test fails, the
 interpreter crashes or the run times out.  It exits 1 when a mutant that is
 not in ``ACCEPTED`` survives, or when an edit does not apply or does not
-build.
+build.  When the unmutated copy fails, it names the files under ``src/``
+and ``tests/`` that git does not track, which the copy leaves out.
 
 Mutants of the AVX-512 Philox (``avx512=True``) run only where the built
 kernel reports ``PHILOX == "avx512"``; elsewhere that code never runs, and
@@ -71,6 +72,15 @@ MUTANTS = [
     Mutant("scalar pair given the vectors' counters", KERNEL,
            "x[0] = b + 17;\n        y[0] = b + 18;",
            "x[0] = b + 1;\n        y[0] = b + 9;", avx512=True),
+    # the scalar Philox, which every host runs for heads, tails and the
+    # cached block
+    Mutant("scalar block counter one low", KERNEL,
+           "x[0] = b + 1;", "x[0] = b;"),
+    Mutant("scalar round key bumped by the other Weyl increment", KERNEL,
+           "k1 += PHILOX_W1;", "k1 += PHILOX_W0;"),
+    Mutant("scalar round without its key word", KERNEL,
+           "c[0] = (uint64_t)(p1 >> 64) ^ c[1] ^ k0;",
+           "c[0] = (uint64_t)(p1 >> 64) ^ c[1];"),
     # the integer compare, the block cache and the tallies
     Mutant("<= in the whole-block compare", KERNEL,
            "return ((x[0] >> 11) < t)", "return ((x[0] >> 11) <= t)"),
@@ -162,19 +172,24 @@ def run_tests(tree: Path) -> tuple[bool, str]:
     return proc.returncode == 0, (failed or lines[-1:] or [""])[0]
 
 
+def git_files(*args: str) -> list[str]:
+    """The paths that ``git ls-files ARGS`` lists, relative to the root."""
+    out = subprocess.run(["git", "ls-files", "-z", *args], cwd=ROOT, check=True,
+                         stdout=subprocess.PIPE).stdout.decode()
+    return [name for name in out.split("\0") if name]
+
+
 def main(names: list[str]) -> int:
     unknown = set(names) - {m.name for m in MUTANTS}
     if unknown:
         print(f"unknown mutants: {sorted(unknown)}")
         return 2
     mutants = [m for m in MUTANTS if not names or m.name in names]
-    files = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, check=True,
-                           stdout=subprocess.PIPE).stdout.decode().split("\0")
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
-        for name in files:
-            if not (ROOT / name).is_file():  # the empty tail, or a deleted file
+        for name in git_files():
+            if not (ROOT / name).is_file():  # a deleted file
                 continue
             (tree / name).parent.mkdir(parents=True, exist_ok=True)
             (tree / name).write_bytes((ROOT / name).read_bytes())
@@ -182,9 +197,16 @@ def main(names: list[str]) -> int:
         if error:
             print(f"the unmutated copy does not build:\n{error}")
             return 1
-        passed, summary = run_tests(tree)
+        try:
+            passed, summary = run_tests(tree)
+        except RuntimeError as exc:  # pytest could not collect the tests
+            passed, summary = False, str(exc)
         if not passed:
             print(f"the unmutated copy fails its tests: {summary}")
+            untracked = git_files("--others", "--exclude-standard", "--", "src", "tests")
+            if untracked:
+                print("the copy holds only tracked files; git does not track "
+                      + ", ".join(untracked))
             return 1
         philox = run([sys.executable, "-c",
                       "from belldistil import _kernels; print(_kernels.PHILOX)"],

@@ -29,6 +29,21 @@ COND = UnsuccessfulConvention.CONDITIONAL
 WERNER_075 = werner(0.75)
 
 
+@pytest.mark.parametrize(
+    "call, args",
+    [(survivor_pmf, (WERNER_075,)), (avg_fidelity_one_round, (WERNER_075, LOCC))],
+    ids=["survivor_pmf", "avg_fidelity_one_round"],
+)
+def test_sample_size_is_an_integer(call, args):
+    # repr shows the bits of each float and any numpy scalar type
+    want = repr(call(4, *args))
+    for kind in (np.int64, np.int32, np.uint64):
+        assert repr(call(kind(4), *args)) == want, kind
+    for bad in (4.0, np.float64(4), "4", None):
+        with pytest.raises(TypeError):
+            call(bad, *args)
+
+
 class TestSurvivorPmf:
     def test_two_pairs_is_a_bernoulli_trial(self):
         stats = survivor_pmf(2, WERNER_075)
@@ -49,6 +64,15 @@ class TestSurvivorPmf:
         for n in (0, 1, 3, -2):
             with pytest.raises(ValueError):
                 survivor_pmf(n, WERNER_075)
+
+    @pytest.mark.parametrize("m", [3, 600])
+    def test_binomial_pmf_rejects_p_outside_the_unit_interval(self, m):
+        # m = 3 takes the exact-integer branch, m = 600 the lgamma branch
+        for p in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="probability p must be in"):
+                binomial_pmf(m, p)
+        assert binomial_pmf(m, 0.0) == [1.0] + [0.0] * m
+        assert binomial_pmf(m, 1.0) == [0.0] * m + [1.0]
 
     def test_matches_pattern_enumeration(self):
         rng = np.random.default_rng(11)

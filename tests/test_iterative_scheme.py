@@ -44,14 +44,26 @@ E5 = 1063 / 1296
 
 
 def kernel_runs(n, trials, seed):
-    """Outputs and failure flags of ``trials`` runs of the active kernel on
-    ``n`` pairs of WERNER_075 under BACKUP, fed seeded Philox uniforms."""
+    """Outputs and per-depth counts (failures last) of ``trials`` runs of
+    ``simulate_philox`` on ``n`` pairs of WERNER_075 under BACKUP, on the
+    Philox stream keyed by ``seed``."""
     fid, psucc = _depth_tables(WERNER_075, n)
-    u = np.random.Generator(np.random.Philox(key=seed)).random((trials, n))
+    k1, k0 = divmod(seed, 2**64)
     out = np.empty(trials)
-    failed = np.zeros(trials, dtype=np.uint8)
-    simulate(u, n, psucc, fid, True, True, 0.5, out, failed)
-    return out, failed
+    counts = np.zeros(depth_cap(n) + 2, dtype=np.int64)
+    simulate_philox(k0, k1, 0, n, psucc, fid, True, True, 0.5, out, counts)
+    return out, counts
+
+
+def philox_rows(seed, first, trials, n):
+    """The uniforms of trials ``first`` .. ``first + trials - 1`` on ``n``
+    pairs, one row each: trial t reads doubles ``t * n`` onwards of numpy's
+    ``Philox(key=seed)`` stream, whose block at counter c holds doubles
+    4 * (c - 1) .. 4 * c - 1, so any index below 2**64 is reached directly."""
+    counter, skip = divmod(first * n, 4)
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=counter))
+    rng.random(skip)
+    return rng.random((trials, n))
 
 
 def reference_tally(u, n, psucc, backup_enabled, stop_at_two):
@@ -75,13 +87,13 @@ class TestRunTrajectory:
         assert stats == TrialStats(50, 0.75, 0.0, 0.0)
 
     def test_three_pairs_two_outcomes(self):
-        out, failed = kernel_runs(3, 500, seed=1)
+        out, counts = kernel_runs(3, 500, seed=1)
         assert set(out.tolist()) == {0.75, F1}
-        assert not failed.any()
+        assert counts[-1] == 0
 
     def test_three_pair_success_frequency(self):
-        out, failed = kernel_runs(3, 20_000, seed=2)
-        assert not failed.any()
+        out, counts = kernel_runs(3, 20_000, seed=2)
+        assert counts[-1] == 0
         assert np.mean(out == F1) == pytest.approx(13 / 18, abs=0.01)
 
     def test_rejects_empty_sample(self):
@@ -399,9 +411,7 @@ class TestExpectedFidelityMC:
         specials = (0.0, 2.0**-53, 1 - 2.0**-53, 1.0, 5e-324, np.nan)
         for seed, n, first in itertools.product((0, 2**64 + 5), (2, 3, 12, 513), (0, 7)):
             trials = 32
-            rng = np.random.Generator(np.random.Philox(key=seed))
-            u = rng.random((first + trials, n))[first:]
-            firsts = u[:, 0]
+            firsts = philox_rows(seed, first, trials, n)[:, 0]
             picks = [*firsts[:4], firsts[firsts < 0.5][0], firsts[firsts >= 0.5][0],
                      firsts.min(), firsts.max()]
             edges = [np.nextafter(x, d) for x in picks for d in (-np.inf, np.inf)]
@@ -419,28 +429,17 @@ class TestExpectedFidelityMC:
         # enter even the first round's multiplies.
         trials = 8
         for seed, n in itertools.product((2**64 - 1, 2**127 + 3), (513, 8193)):
-            k0, k1 = (int(w) for w in np.random.Philox(key=seed).state["state"]["key"])
             first = (2**64 - 1) // n - trials
             fid, psucc = _depth_tables(WERNER_075, n)
-            for flags in itertools.product((True, False), (True, False), (0.5, 0.37)):
-                runs = []
-                for impl in (simulate_philox, _trajectory_py.simulate_philox):
-                    out = np.empty(trials)
-                    counts = np.zeros(depth_cap(n) + 2, dtype=np.int64)
-                    impl(k0, k1, first, n, psucc, fid, *flags, out, counts)
-                    runs.append((out, counts))
-                case = (seed, n, *flags)
-                assert np.array_equal(runs[0][0], runs[1][0]), case
-                assert np.array_equal(runs[0][1], runs[1][1]), case
+            self.assert_philox_twins(seed, n, first, trials, psucc, fid)
 
     @staticmethod
     def assert_philox_twins(seed, n, first, trials, psucc, fid):
         """``simulate_philox`` from trial ``first`` on, ``simulate`` and the
         reference loop on the same numpy-drawn doubles agree bit for bit,
         and the counts equal the reference loop's tally."""
-        k0, k1 = np.random.Philox(key=seed).state["state"]["key"]
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        u = rng.random((first + trials, n))[first:]
+        k1, k0 = divmod(seed, 2**64)
+        u = philox_rows(seed, first, trials, n)
         for backup_enabled, stop_at_two, failure_fidelity in itertools.product(
             (True, False), (True, False), (0.5, 0.37)
         ):
@@ -449,12 +448,14 @@ class TestExpectedFidelityMC:
             out = np.empty(trials)
             counts = np.zeros(depth_cap(n) + 2, dtype=np.int64)
             simulate_philox(k0, k1, first, n, psucc, fid, *flags, out, counts)
+            failed = []
             for impl in (simulate, _trajectory_py.simulate):
                 twin_out = np.empty(trials)
-                failed = np.zeros(trials, dtype=np.uint8)
-                impl(u, n, psucc, fid, *flags, twin_out, failed)
+                failed.append(np.zeros(trials, dtype=np.uint8))
+                impl(u, n, psucc, fid, *flags, twin_out, failed[-1])
                 assert np.array_equal(twin_out, out), case
-                assert failed.sum() == counts[-1], case
+            assert np.array_equal(*failed), case
+            assert failed[0].sum() == counts[-1], case
             tally = reference_tally(u, n, psucc, backup_enabled, stop_at_two)
             assert np.array_equal(counts, tally), case
 
@@ -462,19 +463,7 @@ class TestExpectedFidelityMC:
         for n in (1, 2, 3, 4, 7, 12, 33, 512):
             fid, psucc = _depth_tables(WERNER_075, n)
             trials = 2_000 if n < 100 else 200
-            u = np.random.Generator(np.random.Philox(key=99)).random((trials, n))
-            for backup_enabled, stop_at_two in itertools.product((True, False), repeat=2):
-                for failure_fidelity in (0.5, 0.37):
-                    results = []
-                    for impl in (simulate, _trajectory_py.simulate):
-                        out = np.empty(trials)
-                        failed = np.zeros(trials, dtype=np.uint8)
-                        impl(u, n, psucc, fid, backup_enabled, stop_at_two,
-                             failure_fidelity, out, failed)
-                        results.append((out, failed))
-                    case = (n, backup_enabled, stop_at_two, failure_fidelity)
-                    assert np.array_equal(results[0][0], results[1][0]), case
-                    assert np.array_equal(results[0][1], results[1][1]), case
+            self.assert_philox_twins(99, n, 0, trials, psucc, fid)
 
     def test_compiled_kernel_rejects_bad_buffers(self):
         from belldistil import _trajectory_c
@@ -497,6 +486,7 @@ class TestExpectedFidelityMC:
             "u narrower than n0": dict(u=u[:, :-1].copy()),
             "tables shorter than the depth": dict(fid=fid[:2].copy()),
             "out shorter than u": dict(out=out[:-1]),
+            "negative n0": dict(n0=-1),
         }
         for name, override in bad.items():
             args = dict(u=u, n0=n, psucc=psucc, fid=fid, backup_enabled=True,
@@ -538,6 +528,9 @@ class TestExpectedFidelityMC:
                 (ValueError, dict(counts=np.zeros(2 * entries, dtype=np.int64)[::2])),
             "index beyond 64 bits": (ValueError, dict(first_trial=top + 1)),
             "negative first trial": (ValueError, dict(first_trial=-1)),
+            # counts of the 2 entries that n0 <= 1 takes, so the size check
+            # passes and only the n0 check can raise
+            "negative n0": (ValueError, dict(n0=-1, counts=counts[:2])),
             "key word beyond 64 bits": (OverflowError, dict(k1=2**64)),
         }
         for name, (error, override) in bad.items():
@@ -555,12 +548,12 @@ class TestExpectedFidelityMC:
                                       out, counts)
         assert out_base[0] == out_base[-1] == -1.0
         assert counts_base[0] == counts_base[-1] == 7
+        u = philox_rows(5 + 2**64, top, trials, n)
         ref_out = np.empty(trials)
-        ref_counts = np.zeros(entries, dtype=np.int64)
-        _trajectory_py.simulate_philox(5, 1, top, n, psucc, fid, True, True, 0.5,
-                                       ref_out, ref_counts)
+        _trajectory_py.simulate(u, n, psucc, fid, True, True, 0.5, ref_out,
+                                np.zeros(trials, dtype=np.uint8))
         assert np.array_equal(out, ref_out)
-        assert np.array_equal(counts, ref_counts)
+        assert np.array_equal(counts, reference_tally(u, n, psucc, True, True))
 
     def test_missing_kernel_fails_at_import(self):
         # a fresh interpreter in which the compiled module cannot be imported
@@ -627,8 +620,8 @@ class TestSweeps:
             assert reference >= value - 1e-12
 
 
-#: Calls that take pair, trial or worker counts, given a way to make them:
-#: ``kind`` applied to a number or to a list of them.
+#: Calls that take pair, trial or worker counts or a seed, given a way to
+#: make them: ``kind`` applied to a number or to a list of them.
 COUNT_CALLS = {
     "exact": lambda kind: expected_fidelity_exact(kind(5), WERNER_075, BACKUP),
     "sweep": lambda kind: sweep_over_n(WERNER_075, kind([3, 4, 5]), BACKUP),
@@ -636,6 +629,7 @@ COUNT_CALLS = {
     "mc trials": lambda kind: expected_fidelity_mc(12, WERNER_075, BACKUP, kind(100), 0),
     "mc workers": lambda kind: expected_fidelity_mc(12, WERNER_075, BACKUP, 100, 0,
                                                     workers=kind(2)),
+    "mc seed": lambda kind: expected_fidelity_mc(12, WERNER_075, BACKUP, 100, kind(3)),
     "reference": lambda kind: fully_successful_fidelity(WERNER_075, kind(5)),
 }
 
@@ -648,6 +642,14 @@ def test_counts_are_integers_at_the_entry(call):
         assert repr(call(kind)) == want, kind
     with pytest.raises(TypeError):
         call(np.float64)
+
+
+@pytest.mark.parametrize("seed", [None, "3", 1.9])
+def test_monte_carlo_seed_is_an_integer(seed):
+    # None would draw a fresh key from OS entropy, and numpy's Philox would
+    # run "3" as 3 and 1.9 as 1
+    with pytest.raises(TypeError):
+        expected_fidelity_mc(12, WERNER_075, BACKUP, 100, seed)
 
 
 #: SHA-256 over ``float.hex`` of the 50,460 values and references of
