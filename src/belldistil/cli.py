@@ -50,7 +50,7 @@ from .bell_core import (
 from .errors import InvalidStateError, ResourceCapError
 from .finite_ensemble import (
     UnsuccessfulConvention,
-    n_min,
+    _n_min_column,
     unsuccessful_fidelity,
 )
 from .iterative_scheme import (
@@ -176,8 +176,9 @@ def cmd_nmin(args: argparse.Namespace) -> int:
     stack = _werner_stack(grid)
     columns = [grid]
     for conv in (UnsuccessfulConvention.LOCC_FLOOR, UnsuccessfulConvention.CONDITIONAL):
-        # NaN where a round cannot gain fidelity (n_min gives None)
-        x = np.array(n_min(stack, conv), dtype=float)
+        # the Werner stack is checked as it is built; NaN where a round
+        # cannot gain fidelity (n_min gives None)
+        x = _n_min_column(stack, conv)
         # round_up_even for the whole column: integers below 2,200, which
         # '.12g' writes as '%d' would
         columns += [x, np.maximum(2.0, np.ceil(x / 2.0) * 2.0)]

@@ -25,11 +25,6 @@ from .bell_core import (
 )
 from .errors import NotDistillableError
 
-#: Above this number of trials, binomial weights switch from exact integer
-#: arithmetic to log-gamma evaluation to avoid overflow.
-_EXACT_COMB_LIMIT = 500
-
-
 class UnsuccessfulConvention(enum.Enum):
     """Fidelity bookkeeping for a totally unsuccessful round."""
 
@@ -52,25 +47,25 @@ class RoundStats:
 
 
 def binomial_pmf(m: int, p: float) -> list[float]:
-    """Probability mass function of Binomial(m, p) as a list of length m + 1."""
+    """Probability mass function of Binomial(m, p) as a list of length m + 1.
+
+    It is the point mass at 0 after m passes of the binomial operator that
+    the exact engine runs: each pass keeps weight 1 - p of every entry in
+    place and moves weight p one place up.  Every term is non-negative, so
+    each pass costs an entry at most two roundings of relative error, down
+    to ``DBL_MIN``; p = 0 and p = 1 give their point masses exactly.
+    """
     if m < 0:
         raise ValueError(f"trial count must be >= 0, got {m}")
     if not 0.0 <= p <= 1.0:  # NaN fails too
         raise ValueError(f"probability p must be in [0, 1], got {p}")
     q = 1.0 - p
-    if m <= _EXACT_COMB_LIMIT:
-        return [math.comb(m, j) * p**j * q ** (m - j) for j in range(m + 1)]
-    if p == 0.0 or p == 1.0:
-        out = [0.0] * (m + 1)
-        out[m if p == 1.0 else 0] = 1.0
-        return out
-    out = []
-    for j in range(m + 1):
-        log_comb = (
-            math.lgamma(m + 1) - math.lgamma(j + 1) - math.lgamma(m - j + 1)
-        )
-        out.append(math.exp(log_comb + j * math.log(p) + (m - j) * math.log(q)))
-    return out
+    w = np.zeros(m + 1)
+    w[0] = 1.0
+    for _ in range(m):
+        w[1:] = q * w[1:] + p * w[:-1]
+        w[0] *= q
+    return w.tolist()
 
 
 def _require_even(n: int) -> int:
@@ -141,17 +136,23 @@ def n_min(
     """
     single = isinstance(s, BellDiagonalState)
     stack = np.array(s.as_tuple())[:, None] if single else _checked_stack(s)
-    a, f_s, f_u, fail = np.broadcast_arrays(stack[0], *_round_terms(stack, conv))
-    keep = ~((a <= 0.5) | (f_s <= a))
-    a, f_s, f_u, fail = (x[keep] for x in (a, f_s, f_u, fail))
-    values = np.full(keep.shape, None)
-    values[keep] = 2.0 * _log((a - f_s) / (f_u - f_s)) / _log(fail)
-    values = values.tolist()
+    values = [None if math.isnan(x) else x for x in _n_min_column(stack, conv).tolist()]
     if single and values[0] is None:
         raise NotDistillableError(
             f"fidelity {s.a!r} cannot be increased by a distillation step"
         )
     return values[0] if single else values
+
+
+def _n_min_column(stack: np.ndarray, conv: UnsuccessfulConvention) -> np.ndarray:
+    """:func:`n_min` of each state of a checked ``(4, k)`` coefficient stack,
+    as floats, with NaN where a round cannot gain fidelity."""
+    a, f_s, f_u, fail = np.broadcast_arrays(stack[0], *_round_terms(stack, conv))
+    keep = ~((a <= 0.5) | (f_s <= a))
+    a, f_s, f_u, fail = (x[keep] for x in (a, f_s, f_u, fail))
+    column = np.full(keep.shape, np.nan)
+    column[keep] = 2.0 * _log((a - f_s) / (f_u - f_s)) / _log(fail)
+    return column
 
 
 def round_up_even(x: float) -> int:

@@ -1,4 +1,4 @@
-"""Mutation gate for the bit claims of the compiled kernels.
+"""Mutation gate for the bit claims of the compiled kernels and the library.
 
 Run from anywhere, with gcc, numpy and pytest installed::
 
@@ -6,15 +6,17 @@ Run from anywhere, with gcc, numpy and pytest installed::
     python tests/mutants.py NAME ...     # the named mutants only
 
 Each mutant is one source edit of a file under ``src/belldistil/``, whose
-``old`` text must occur exactly once.  The script copies the tracked files
-of the working tree into a temporary directory and checks that the
-unmutated copy passes the bit and twin tests (``TESTS``).  Then, for each
-mutant, it applies the edit there, rebuilds the extension when the edit is
-in C, and runs the same tests; the mutant is killed when a test fails, the
-interpreter crashes or the run times out.  It exits 1 when a mutant that is
-not in ``ACCEPTED`` survives, or when an edit does not apply or does not
-build.  When the unmutated copy fails, it names the files under ``src/``
-and ``tests/`` that git does not track, which the copy leaves out.
+``old`` text must occur exactly once, and names the test files that must
+kill it: the bit and twin tests (``TESTS``) unless it names others.  The
+script copies the tracked files of the working tree into a temporary
+directory and checks that the unmutated copy passes every test file that
+the mutants name.  Then, for each mutant, it applies the edit there,
+rebuilds the extension when the edit is in C, and runs the mutant's tests;
+the mutant is killed when a test fails, the interpreter crashes or the run
+times out.  It exits 1 when a mutant that is not in ``ACCEPTED`` survives,
+or when an edit does not apply or does not build.  When the unmutated copy
+fails, it names the files under ``src/`` and ``tests/`` that git does not
+track, which the copy leaves out.
 
 Mutants of the AVX-512 Philox (``avx512=True``) run only where the built
 kernel reports ``PHILOX == "avx512"``; elsewhere that code never runs, and
@@ -34,9 +36,12 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-TESTS = ["tests/test_iterative_scheme.py", "tests/test_float_core.py"]
+TESTS = ("tests/test_iterative_scheme.py", "tests/test_float_core.py")
 KERNEL = "src/belldistil/_trajectory_c.c"
 SCHEME = "src/belldistil/iterative_scheme.py"
+CLI = "src/belldistil/cli.py"
+ORACLE = "src/belldistil/oracle.py"
+ENSEMBLE = "src/belldistil/finite_ensemble.py"
 #: A mutant that makes a loop endless fails its run after this many seconds.
 TIMEOUT_S = 600
 
@@ -47,6 +52,8 @@ class Mutant(NamedTuple):
     old: str
     new: str
     avx512: bool = False
+    #: the test files that must kill it
+    tests: tuple[str, ...] = TESTS
 
 
 MUTANTS = [
@@ -131,9 +138,35 @@ MUTANTS = [
            "if (pl->stop_at_two)"),
     Mutant("FTZ/DAZ left set after the call", KERNEL,
            "        _mm_setcsr(csr);\n", ""),
-    # the sweep's all-success reference
+    # the sweep's all-success reference and count checks, and the Monte
+    # Carlo's exact mean
     Mutant("reference depth of the effective count", SCHEME,
            "depths.append(depth_cap(n))", "depths.append(depth_cap(m))"),
+    Mutant("cap checked on every count before n >= 1", SCHEME,
+           "    ns, counts, depths = [], [], []\n",
+           "    ns, counts, depths = [], [], []\n"
+           "    if any(operator.index(n) > EXACT_N_CAP for n in n_range):\n"
+           "        raise ResourceCapError(\n"
+           "            f\"exact expectation capped at n = {EXACT_N_CAP}; \"\n"
+           "            \"use expected_fidelity_mc for larger samples\"\n"
+           "        )\n"),
+    Mutant("drop rule on odd counts", SCHEME,
+           "if policy.drop_one_when_even and n % 2 == 0:",
+           "if policy.drop_one_when_even and n % 2 == 1:"),
+    Mutant("tally sum without the common denominator", SCHEME,
+           "c * m * (den // d)", "c * m * den"),
+    # the grid points, the oracle's sub-stacks and the nmin column
+    Mutant("grid without the round() fallback near ties", CLI,
+           "    for i in np.flatnonzero(~safe).tolist():\n"
+           "        grid[i] = round(float(x[i]), _GRID_DECIMALS)\n", "",
+           tests=("tests/test_cli.py",)),
+    Mutant("last partial sub-stack not stepped", ORACLE,
+           "for lo in range(0, k, _STEP_STACK):",
+           "for lo in range(0, k - k % _STEP_STACK, _STEP_STACK):",
+           tests=("tests/test_oracle.py",)),
+    Mutant("nmin keep-mask inverted", ENSEMBLE,
+           "keep = ~((a <= 0.5) | (f_s <= a))", "keep = (a <= 0.5) | (f_s <= a)",
+           tests=("tests/test_finite_ensemble.py",)),
 ]
 
 #: Survivors that no test can see, with the reason.
@@ -156,9 +189,9 @@ def build(tree: Path) -> str | None:
     return None if proc.returncode == 0 else "\n".join(proc.stdout.splitlines()[-15:])
 
 
-def run_tests(tree: Path) -> tuple[bool, str]:
+def run_tests(tree: Path, tests: tuple[str, ...]) -> tuple[bool, str]:
     """Whether the tests pass, and the first failure or the summary line."""
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     try:
         proc = run(cmd, tree)
     except subprocess.TimeoutExpired:
@@ -197,8 +230,10 @@ def main(names: list[str]) -> int:
         if error:
             print(f"the unmutated copy does not build:\n{error}")
             return 1
+        # every file that some mutant runs, each once
+        every_test = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
         try:
-            passed, summary = run_tests(tree)
+            passed, summary = run_tests(tree, every_test)
         except RuntimeError as exc:  # pytest could not collect the tests
             passed, summary = False, str(exc)
         if not passed:
@@ -226,7 +261,7 @@ def main(names: list[str]) -> int:
             try:
                 path.write_text(source.replace(m.old, m.new))
                 error = build(tree) if m.path == KERNEL else None
-                passed, summary = (False, "") if error else run_tests(tree)
+                passed, summary = (False, "") if error else run_tests(tree, m.tests)
             finally:
                 path.write_text(source)
             seconds = time.perf_counter() - start

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -67,7 +68,6 @@ class TestSurvivorPmf:
 
     @pytest.mark.parametrize("m", [3, 600])
     def test_binomial_pmf_rejects_p_outside_the_unit_interval(self, m):
-        # m = 3 takes the exact-integer branch, m = 600 the lgamma branch
         for p in (-0.1, 1.5, math.nan):
             with pytest.raises(ValueError, match="probability p must be in"):
                 binomial_pmf(m, p)
@@ -82,20 +82,29 @@ class TestSurvivorPmf:
                 pattern_pmf(n, s), abs=1e-12
             )
 
-    def test_lgamma_branch_matches_exact_combinatorics(self):
-        m, p = 501, 0.3
-        approx = binomial_pmf(m, p)
-        exact = [math.comb(m, j) * p**j * (1 - p) ** (m - j) for j in range(m + 1)]
-        assert np.allclose(approx, exact, rtol=1e-10, atol=1e-300)
-        # Past m = 1029 the float form above overflows, so the lgamma branch
-        # is the only one left; check it against integer-exact weights.
-        m = 1100
-        with pytest.raises(OverflowError):
-            [math.comb(m, j) * p**j * (1 - p) ** (m - j) for j in range(m + 1)]
+    @pytest.mark.parametrize("m", [1, 100, 500, 501, 2048])
+    @pytest.mark.parametrize("p", [2**-10, 0.5, 1 - 2**-10])
+    def test_matches_exact_combinatorics(self, m, p):
+        # weight j is comb(m, j) * pn**j * qn**(m - j) / den**m, and 1 - p
+        # is exact in floats for these p
         pn, den = p.as_integer_ratio()
         qn, scale = den - pn, den**m
-        exact = [math.comb(m, j) * pn**j * qn ** (m - j) / scale for j in range(m + 1)]
-        assert np.allclose(binomial_pmf(m, p), exact, rtol=1e-10, atol=1e-300)
+        floor_n, floor_d = sys.float_info.min.as_integer_ratio()
+        q_powers = [1]
+        for _ in range(m):
+            q_powers.append(q_powers[-1] * qn)
+        p_power, checked = 1, 0
+        for j, got in enumerate(binomial_pmf(m, p)):
+            exact = math.comb(m, j) * p_power * q_powers[m - j]
+            p_power *= pn
+            if exact * floor_d <= floor_n * scale:  # at most DBL_MIN
+                continue
+            # each of the m passes costs at most two roundings:
+            # |got - exact| <= m * 2**-52 * exact, in integers
+            got_n, got_d = got.as_integer_ratio()
+            assert abs(got_n * scale - exact * got_d) << 52 <= m * exact * got_d, j
+            checked += 1
+        assert checked >= min(m + 1, 100)
 
 
 class TestAvgFidelityOneRound:

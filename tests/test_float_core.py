@@ -36,6 +36,7 @@ from belldistil import (
 from belldistil import _kernels
 from belldistil.bell_core import _normalized, _normalized_rows, _square, _step_coeffs
 from belldistil.cli import _a_grid, _werner_stack
+from belldistil.finite_ensemble import _n_min_column
 from belldistil.iterative_scheme import (
     _STACK_ENTRIES,
     _depth_tables,
@@ -193,8 +194,10 @@ def test_stacked_n_min_matches_each_state(conv):
     want = [outcome(n_min, s, conv) for s in STATES]
     assert [None if isinstance(w, type) else w for w in want] == got
     assert None in got
-
-
+    # the nmin CSV reads the column under n_min: NaN where it gives None
+    column = _n_min_column(stack(STATES), conv)
+    assert column.dtype == np.float64
+    assert [x.hex() for x in column.tolist()] == ["nan" if x is None else x.hex() for x in got]
 def test_stacked_step_matches_each_state():
     # the oracle compares its stacks with this form of distill_step
     p, success, failure, reachable = _step_coeffs(*stack(STATES))

@@ -608,6 +608,9 @@ class TestSweeps:
         assert sweep_over_n(WERNER_075, range(5, 3), BACKUP) == []
         with pytest.raises(ValueError):
             sweep_over_n(WERNER_075, [0, 5], BACKUP)
+        # each count is checked in turn: n >= 1, then the cap
+        with pytest.raises(ValueError):
+            sweep_over_n(WERNER_075, [0, 5000], BACKUP)
         with pytest.raises(ResourceCapError):
             sweep_over_n(WERNER_075, [5000, 0], BACKUP)
 

@@ -445,6 +445,33 @@ class TestPinnedBits:
                             report.rotation.max_deviation.hex(), report.rotation.samples))
         assert reports == [reports[0]] * 5
 
+    def test_step_does_not_depend_on_the_sub_stack_size(self, monkeypatch):
+        # 1009 is prime: every size below it leaves a partial last sub-stack
+        states = _random_stack(17, 1009)
+        states[0] = states[1008] = BellDiagonalState(1, 0, 0, 0)  # failure unreachable
+        stack = embed(states)
+        outcomes, reports = [], []
+        for step_stack in (1, 7, 32, 1009):
+            monkeypatch.setattr(oracle, "_STEP_STACK", step_stack)
+            full = dejmps_step_full(stack)
+            outcomes.append([(x.dtype, x.shape, x.tobytes()) for x in (
+                full.p_success, full.success_m, full.failure_m, full.failure_reachable)])
+            report = compare_with_closed_form(1009, 3)
+            reports.append((_comparison_bits(report), report.rotation.max_deviation.hex()))
+        assert outcomes == [outcomes[0]] * 4
+        assert reports == [reports[0]] * 4
+        assert list(full.failure_reachable).count(False) == 2
+
+    def test_single_matrix_and_empty_stack(self):
+        single = dejmps_step_full(embed(WERNER_075))
+        assert type(single.p_success) is float
+        assert type(single.failure_reachable) is bool
+        assert single.success_m.shape == single.failure_m.shape == (4, 4)
+        empty = dejmps_step_full(np.zeros((0, 4, 4), dtype=complex))
+        assert [(x.dtype, x.shape) for x in (empty.p_success, empty.success_m,
+                                             empty.failure_m, empty.failure_reachable)] == [
+            (np.float64, (0,)), (complex, (0, 4, 4)), (complex, (0, 4, 4)), (bool, (0,))]
+
 
 def _comparison_bits(report: ComparisonReport) -> tuple:
     """float.hex() of the fields that COMPARISON_PINS holds."""
