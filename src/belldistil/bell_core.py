@@ -16,6 +16,7 @@ is elementwise, so a stack gives each state the bits of its own float call.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,16 @@ def _square(x):
     ``pow``.
     """
     return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x**2
+
+
+def _checked_count(value, name: str, least: int) -> int:
+    """The one check of every count the package takes: ``operator.index``,
+    so a numpy integer acts as the int and a float, a str or None raises
+    ``TypeError``, then ``ValueError`` below ``least``."""
+    value = operator.index(value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _first(failed: np.ndarray) -> int | None:
@@ -269,9 +280,7 @@ def avg_fidelity_single_conditional(s: BellDiagonalState) -> float:
 
 def iterate_map(s: BellDiagonalState, k: int) -> BellDiagonalState:
     """k-fold composition of the success branch of :func:`distill_step`."""
-    if k < 0:
-        raise ValueError(f"iteration count must be >= 0, got {k}")
     coeffs = s.as_tuple()
-    for _ in range(k):
+    for _ in range(_checked_count(k, "iteration count", 0)):
         coeffs = _success_coeffs(*coeffs, _success_weight(*coeffs))
     return _state(coeffs)

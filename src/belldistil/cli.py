@@ -252,7 +252,6 @@ def cmd_verify_oracle(args: argparse.Namespace) -> int:
     # 0.6 MB of resident memory that no other subcommand needs
     from .oracle import compare_with_closed_form
 
-    # the comparison checks the sample count before anything is drawn
     report = compare_with_closed_form(args.samples, args.seed)
     print(f"rotation convention   {'pass' if report.rotation.passed else 'FAIL'}"
           f" (max deviation {report.rotation.max_deviation:.3g})")

@@ -17,13 +17,15 @@ import numpy as np
 from . import _kernels
 from .bell_core import (
     BellDiagonalState,
+    _checked_count,
     _checked_stack,
     _failure_coeffs,
     _success_coeffs,
     _success_weight,
     success_probability,
 )
-from .errors import NotDistillableError
+from .errors import NotDistillableError, ResourceCapError
+from .iterative_scheme import EXACT_N_CAP
 
 class UnsuccessfulConvention(enum.Enum):
     """Fidelity bookkeeping for a totally unsuccessful round."""
@@ -55,8 +57,7 @@ def binomial_pmf(m: int, p: float) -> list[float]:
     each pass costs an entry at most two roundings of relative error, down
     to ``DBL_MIN``; p = 0 and p = 1 give their point masses exactly.
     """
-    if m < 0:
-        raise ValueError(f"trial count must be >= 0, got {m}")
+    m = _checked_count(m, "trial count", 0)
     if not 0.0 <= p <= 1.0:  # NaN fails too
         raise ValueError(f"probability p must be in [0, 1], got {p}")
     q = 1.0 - p
@@ -79,6 +80,8 @@ def _require_even(n: int) -> int:
 def survivor_pmf(n: int, s: BellDiagonalState) -> RoundStats:
     """Distribution of the number of pairs surviving one round on n pairs."""
     n = _require_even(n)
+    if n > EXACT_N_CAP:
+        raise ResourceCapError(f"survivor distribution capped at n = {EXACT_N_CAP}")
     p = success_probability(s)
     return RoundStats(n_pairs=n, p_success=p, pmf=binomial_pmf(n // 2, p))
 

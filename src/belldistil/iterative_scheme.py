@@ -40,6 +40,7 @@ import numpy as np
 from . import _kernels
 from .bell_core import (
     BellDiagonalState,
+    _checked_count,
     _checked_stack,
     _success_coeffs,
     _success_weight,
@@ -115,7 +116,7 @@ DROP_ONE = IterationPolicy(drop_one_when_even=True)
 def depth_cap(n: int) -> int:
     """Rounds of the all-success run on n pairs, floor(log2 n); no
     trajectory goes deeper."""
-    return n.bit_length() - 1
+    return _checked_count(n, "pair count", 1).bit_length() - 1
 
 
 def _depth_tables(
@@ -136,9 +137,7 @@ def _depth_tables(
 
 
 def _effective_n(n: int, policy: IterationPolicy) -> int:
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"pair count must be >= 1, got {n}")
+    n = _checked_count(n, "pair count", 1)
     if policy.drop_one_when_even and n % 2 == 0:
         return n - 1
     return n
@@ -147,9 +146,6 @@ def _effective_n(n: int, policy: IterationPolicy) -> int:
 def fully_successful_fidelity(s0: BellDiagonalState, n: int) -> float:
     """Reference curve: fidelity after the depth_cap(n) rounds of an
     all-success run, n halving down to a single pair."""
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"pair count must be >= 1, got {n}")
     return iterate_map(s0, depth_cap(n)).a
 
 
@@ -217,20 +213,16 @@ def expected_fidelity_mc(
     index past 64 bits ``ValueError``, before anything is allocated.  The
     work grows with trials * n, so more than ``MC_WORK_CAP`` raises
     :class:`ResourceCapError` after the depth tables (a few dozen entries)
-    and before the results are allocated.  Counts and the seed are taken
-    through ``operator.index``: a numpy integer acts as the Python int, and
-    a float, a str or None raises ``TypeError``.
+    and before the results are allocated.
     """
-    trials, workers, seed = map(operator.index, (trials, workers, seed))
-    if trials < 1:
-        raise ValueError(f"trial count must be >= 1, got {trials}")
+    seed = operator.index(seed)
+    trials = _checked_count(trials, "trial count", 1)
     if trials > MC_TRIALS_CAP:
         raise ResourceCapError(
             f"Monte Carlo capped at {MC_TRIALS_CAP} trials; "
             "use fewer trials or average independent seeds"
         )
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
+    workers = _checked_count(workers, "worker count", 1)
     n = _effective_n(n, policy)
     if n > 2**63 - 1 or trials * n > 2**64 - 1:
         raise ValueError(
@@ -298,8 +290,7 @@ def _exact_counts(
     n_range: range | list[int], policy: IterationPolicy
 ) -> tuple[list[int], list[int], list[int]]:
     """The pair counts, their effective counts and the depths of their
-    all-success runs, in one pass that checks each count in order (n >= 1,
-    then the cap)."""
+    all-success runs, each count checked as :func:`sweep_over_n` says."""
     ns, counts, depths = [], [], []
     for n in map(operator.index, n_range):
         m = _effective_n(n, policy)

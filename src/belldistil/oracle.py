@@ -17,6 +17,7 @@ pair is Alice-major (A, B) with computational basis order 00, 01, 10, 11.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from .bell_core import (
     BellDiagonalState,
+    _checked_count,
     _first,
     _normalized,
     _normalized_rows,
@@ -280,19 +282,17 @@ def apply_rotation_pair(m: np.ndarray) -> np.ndarray:
 
 def _random_states(samples: int, seed: int):
     """Coefficients of random Bell-diagonal states, ``(k, 4)`` stacks with k
-    at most ``_ORACLE_STACK``, and their embeddings; the count is checked first.
+    at most ``_ORACLE_STACK``, and their embeddings; the cap is checked first.
 
     numpy draws ``dirichlet(alpha, size=k)`` as k single draws in a row,
     so the states do not depend on the stack size.
     """
-    if samples < 1:
-        raise ValueError(f"sample count must be >= 1, got {samples}")
     if samples > _ORACLE_SAMPLE_CAP:
         raise ResourceCapError(
             f"oracle capped at {_ORACLE_SAMPLE_CAP} samples; "
             "use fewer samples or several seeds"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(operator.index(seed))
     for lo in range(0, samples, _ORACLE_STACK):
         draws = rng.dirichlet(np.ones(4), size=min(_ORACLE_STACK, samples - lo))
         coeffs = np.stack(_normalized(*draws.T), axis=1)
@@ -340,6 +340,7 @@ def compare_with_closed_form(
     deviation.  ``rotation`` checks that the pre-rotation swaps Psi- and
     Phi- in the first ``_ROTATION_SAMPLES``.
     """
+    samples = _checked_count(samples, "sample count", 1)
     dev_p = dev_s = dev_f = dev_r = 0.0
     worst_state = (1.0, 0.0, 0.0, 0.0)
     for j, (coeffs, m) in enumerate(_random_states(samples, seed)):

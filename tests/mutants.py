@@ -42,6 +42,7 @@ SCHEME = "src/belldistil/iterative_scheme.py"
 CLI = "src/belldistil/cli.py"
 ORACLE = "src/belldistil/oracle.py"
 ENSEMBLE = "src/belldistil/finite_ensemble.py"
+CORE = "src/belldistil/bell_core.py"
 #: A mutant that makes a loop endless fails its run after this many seconds.
 TIMEOUT_S = 600
 
@@ -167,6 +168,10 @@ MUTANTS = [
     Mutant("nmin keep-mask inverted", ENSEMBLE,
            "keep = ~((a <= 0.5) | (f_s <= a))", "keep = (a <= 0.5) | (f_s <= a)",
            tests=("tests/test_finite_ensemble.py",)),
+    # the one count check
+    Mutant("count check lets the least value through", CORE,
+           "if value < least:", "if value <= least:",
+           tests=("tests/test_bell_core.py", "tests/test_iterative_scheme.py")),
 ]
 
 #: Survivors that no test can see, with the reason.

@@ -236,10 +236,6 @@ class TestIterateMap:
     def test_two_applications(self):
         assert iterate_map(WERNER_075, 2).a == pytest.approx(841 / 932, abs=1e-12)
 
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            iterate_map(WERNER_075, -1)
-
     def test_monotone_convergence_for_werner(self):
         s = werner(0.75)
         previous = s.a

@@ -8,6 +8,7 @@ import pytest
 from belldistil import (
     BellDiagonalState,
     NotDistillableError,
+    ResourceCapError,
     UnsuccessfulConvention,
     avg_fidelity_one_round,
     n_min,
@@ -15,6 +16,7 @@ from belldistil import (
     survivor_pmf,
     werner,
 )
+from belldistil import finite_ensemble
 from belldistil._kernels import log_each
 from belldistil.bell_core import _failure_coeffs
 from belldistil.finite_ensemble import (
@@ -22,6 +24,7 @@ from belldistil.finite_ensemble import (
     binomial_pmf,
     unsuccessful_fidelity,
 )
+from belldistil.iterative_scheme import EXACT_N_CAP
 
 from enumeration import pattern_pmf
 
@@ -65,6 +68,20 @@ class TestSurvivorPmf:
         for n in (0, 1, 3, -2):
             with pytest.raises(ValueError):
                 survivor_pmf(n, WERNER_075)
+
+    def test_capped_at_the_exact_cap(self, monkeypatch):
+        assert math.fsum(survivor_pmf(EXACT_N_CAP, WERNER_075).pmf) == pytest.approx(
+            1.0, abs=1e-12)
+
+        def reached(*args):
+            raise AssertionError("the distribution was computed")
+
+        monkeypatch.setattr(finite_ensemble, "binomial_pmf", reached)
+        with pytest.raises(ValueError, match="positive even count"):
+            survivor_pmf(EXACT_N_CAP + 1, WERNER_075)
+        with pytest.raises(ResourceCapError) as exc:
+            survivor_pmf(EXACT_N_CAP + 2, WERNER_075)
+        assert str(exc.value) == f"survivor distribution capped at n = {EXACT_N_CAP}"
 
     @pytest.mark.parametrize("m", [3, 600])
     def test_binomial_pmf_rejects_p_outside_the_unit_interval(self, m):

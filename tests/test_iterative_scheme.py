@@ -26,6 +26,7 @@ from belldistil import (
 from belldistil import _trajectory_py
 from belldistil.cli import _a_grid, _werner_stack
 from belldistil._kernels import simulate, simulate_philox
+from belldistil.finite_ensemble import binomial_pmf
 from belldistil.iterative_scheme import (
     MC_TRIALS_CAP,
     MC_WORK_CAP,
@@ -33,6 +34,7 @@ from belldistil.iterative_scheme import (
     _effective_n,
     depth_cap,
 )
+from belldistil.oracle import compare_with_closed_form
 
 from enumeration import deepest_round, enumerate_expectation
 
@@ -224,10 +226,6 @@ class TestExpectedFidelityMC:
             pytest.approx(F1),
             pytest.approx(iterate_map(WERNER_075, 2).a),
         )
-
-    def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError):
-            expected_fidelity_mc(5, WERNER_075, BACKUP, trials=0, seed=0)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_fewer_than_one_worker_first(self, monkeypatch, workers):
@@ -623,28 +621,53 @@ class TestSweeps:
             assert reference >= value - 1e-12
 
 
-#: Calls that take pair, trial or worker counts or a seed, given a way to
-#: make them: ``kind`` applied to a number or to a list of them.
+#: Calls that take a count or a seed, given a way to make each of them:
+#: ``kind`` applied to a number.  With each call, the name of its count and
+#: the least value that the count accepts; a seed has neither.
 COUNT_CALLS = {
-    "exact": lambda kind: expected_fidelity_exact(kind(5), WERNER_075, BACKUP),
-    "sweep": lambda kind: sweep_over_n(WERNER_075, kind([3, 4, 5]), BACKUP),
-    "mc pairs": lambda kind: expected_fidelity_mc(kind(12), WERNER_075, BACKUP, 100, 0),
-    "mc trials": lambda kind: expected_fidelity_mc(12, WERNER_075, BACKUP, kind(100), 0),
-    "mc workers": lambda kind: expected_fidelity_mc(12, WERNER_075, BACKUP, 100, 0,
-                                                    workers=kind(2)),
-    "mc seed": lambda kind: expected_fidelity_mc(12, WERNER_075, BACKUP, 100, kind(3)),
-    "reference": lambda kind: fully_successful_fidelity(WERNER_075, kind(5)),
+    "exact": (lambda kind: expected_fidelity_exact(kind(5), WERNER_075, BACKUP),
+              "pair count", 1),
+    "sweep": (lambda kind: sweep_over_n(WERNER_075, [kind(n) for n in (3, 4, 5)], BACKUP),
+              "pair count", 1),
+    "mc pairs": (lambda kind: expected_fidelity_mc(kind(12), WERNER_075, BACKUP, 100, 0),
+                 "pair count", 1),
+    "mc trials": (lambda kind: expected_fidelity_mc(12, WERNER_075, BACKUP, kind(100), 0),
+                  "trial count", 1),
+    "mc workers": (lambda kind: expected_fidelity_mc(12, WERNER_075, BACKUP, 100, 0,
+                                                     workers=kind(2)),
+                   "worker count", 1),
+    "mc seed": (lambda kind: expected_fidelity_mc(12, WERNER_075, BACKUP, 100, kind(3)),
+                None, None),
+    "reference": (lambda kind: fully_successful_fidelity(WERNER_075, kind(5)),
+                  "pair count", 1),
+    "iterate_map": (lambda kind: iterate_map(WERNER_075, kind(3)), "iteration count", 0),
+    "binomial_pmf": (lambda kind: binomial_pmf(kind(6), 0.3), "trial count", 0),
+    "depth_cap": (lambda kind: depth_cap(kind(9)), "pair count", 1),
+    "oracle samples": (lambda kind: compare_with_closed_form(kind(5)), "sample count", 1),
+    "oracle seed": (lambda kind: compare_with_closed_form(5, kind(3)), None, None),
 }
 
 
-@pytest.mark.parametrize("call", COUNT_CALLS.values(), ids=COUNT_CALLS.keys())
-def test_counts_are_integers_at_the_entry(call):
+@pytest.mark.parametrize("key", COUNT_CALLS)
+def test_counts_are_integers_at_the_entry(key):
+    call = COUNT_CALLS[key][0]
     # repr shows the bits of each float and any numpy scalar type
     want = repr(call(lambda x: x))
     for kind in (np.int64, np.int32, np.uint64):
         assert repr(call(kind)) == want, kind
-    with pytest.raises(TypeError):
-        call(np.float64)
+    for kind in (np.float64, lambda x: None):
+        with pytest.raises(TypeError):
+            call(kind)
+
+
+@pytest.mark.parametrize("below", [1, 4])
+@pytest.mark.parametrize("key", [key for key, row in COUNT_CALLS.items() if row[1]])
+def test_counts_below_their_least_value_are_rejected(key, below):
+    call, name, least = COUNT_CALLS[key]
+    call(lambda x: least)
+    with pytest.raises(ValueError) as exc:
+        call(lambda x: least - below)
+    assert str(exc.value) == f"{name} must be >= {least}, got {least - below}"
 
 
 @pytest.mark.parametrize("seed", [None, "3", 1.9])

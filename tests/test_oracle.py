@@ -303,10 +303,9 @@ class TestRotationChoice:
         _use_convention(monkeypatch, -1)
         assert compare_with_closed_form(samples=100, seed=3).rotation.passed
 
-    @pytest.mark.parametrize("samples", [0, -3])
-    def test_rejects_no_samples(self, samples):
-        with pytest.raises(ValueError, match=f"must be >= 1, got {samples}"):
-            compare_with_closed_form(samples=samples)
+    def test_report_of_a_numpy_count_dumps_to_json(self):
+        report = compare_with_closed_form(np.int64(5))
+        assert json.loads(json.dumps(asdict(report)))["samples"] == 5
 
 
 class TestFullStep:
