@@ -4,10 +4,12 @@ and the CSV writer and logarithm of the CLI tables.
 ``_trajectory_c`` is built from ``_trajectory_c.c`` by ``setup.py``; there
 is no fallback.  Without it, importing this module (and so ``belldistil``)
 raises an ``ImportError`` that names the module and the build command.
-``PHILOX`` names the path that computes the Monte Carlo's whole Philox
-blocks: ``"avx512"``, 18 blocks per step in AVX-512 lanes, which the module
-picks at load time on an x86-64-v4 CPU when built by GCC 12 or later, or
-``"scalar"``, one block at a time, everywhere else.  Both give the same bits.
+``PHILOX`` names the paths that compute the Monte Carlo's whole Philox
+blocks and the exact induction's averaging loop: ``"avx512"``, 18 blocks and
+16 table entries per step in AVX-512 lanes, which the module picks at load
+time on an x86-64-v4 CPU when built by GCC 12 or later, or ``"scalar"``, one
+block at a time and the compiler's baseline loop, everywhere else.  Both
+give the same bits.
 ``_trajectory_py`` holds the one reference entry, ``simulate``, that tests
 compare the kernel against; the tests hold the numpy induction that
 ``exact_expectations`` replaced.

@@ -25,7 +25,8 @@
  * CPU reports x86-64-v4 (AVX-512 F, BW, CD, DQ and VL).  On every other CPU
  * or build, and for heads, tails and shorter runs, the scalar loop computes
  * the blocks one at a time.  Both give the same integer words, so the same
- * bits; the module's ``PHILOX`` says which path runs, "avx512" or "scalar".
+ * bits; the module's ``PHILOX`` says which path runs, "avx512" or "scalar",
+ * for the Philox and for the averaging loop of the induction below.
  *
  * The arrays arrive through the buffer protocol and are checked for dtype,
  * dimensions, contiguity, writability and size before any element is
@@ -39,12 +40,13 @@
  * without backups, and at depth 0 only the parities of the counts.  Each
  * slot is averaged on its own, so leaving one out moves no bit of the
  * others, and the products and sums are those of the numpy loop that the
- * tests keep as its reference: every exact value keeps its bits.  With GCC
- * 12 or later on x86-64 ELF, its averaging loop is built twice, for
- * AVX-512 (x86-64-v4) and for the SSE2 baseline, and the dynamic loader
- * picks the clone the CPU runs.  The bits hold in both: each vector lane is
- * multiplied and added as the scalar code does it, and -ffp-contract=off
- * keeps every clone from fusing them into an FMA.
+ * tests keep as its reference: every exact value keeps its bits.  Where
+ * the Philox runs in AVX-512, so does the averaging loop: ``average_avx512``
+ * takes 16 entries per step on tables that start on 64-byte lines, and
+ * ``binomial_steps`` runs the plain loop everywhere else.  The bits hold in
+ * both: each vector lane is multiplied and added as the scalar code does
+ * it, with no FMA, and -ffp-contract=off keeps the plain loop from fusing
+ * them.
  *
  * Near purity the averaging drives table entries below DBL_MIN, and every
  * subnormal operand or result costs the CPU a microcode assist.  On x86-64
@@ -74,23 +76,21 @@
 #include <xmmintrin.h>
 #endif
 
-/* The clones of the averaging loop (see the top of the file); GCC 12 is the
- * oldest compiler they were checked with.  An ifunc resolver picks one at
- * load time from what the CPU reports.  Each clone starts a 64-byte line,
- * so its inner loop keeps its place in the cache lines whatever the code
- * before it: when an edit of the Monte Carlo kernel moved the AVX-512
- * loop across a line, the exact expectation ran about 3% slower.  The same
- * builds hold the AVX-512 Philox of ``count_whole_blocks``, which the module
- * chooses at load time. */
+/* The AVX-512 paths of the Philox (``count_whole_blocks``) and of the
+ * averaging loop (``average_avx512``), built with GCC 12 or later on x86-64
+ * ELF and chosen once, at module load, when the CPU reports x86-64-v4 (see
+ * the top of the file). */
 #if defined(__x86_64__) && defined(__ELF__) && !defined(__clang__) \
     && defined(__GNUC__) && __GNUC__ >= 12
-#define VECTOR_CLONES \
-    __attribute__((target_clones("arch=x86-64-v4", "default"), aligned(64)))
-#define VECTOR_PHILOX __attribute__((target("arch=x86-64-v4")))
+#define AVX512 __attribute__((target("arch=x86-64-v4")))
 #include <immintrin.h>
-#else
-#define VECTOR_CLONES
 #endif
+
+/* Each averaging function starts a 64-byte line, so its inner loop keeps
+ * its place in the cache lines whatever the code before it: when an edit of
+ * the Monte Carlo kernel moved the AVX-512 loop across a line, the exact
+ * expectation ran about 3% slower. */
+#define AVERAGING __attribute__((aligned(64), noinline))
 
 /* Philox4x64-10's multipliers and the Weyl increments of its key. */
 #define PHILOX_M0 0xD2E7470EE14C6C93ULL
@@ -173,15 +173,16 @@ words_below(const uint64_t x[4], uint64_t t)
            + ((x[2] >> 11) < t) + ((x[3] >> 11) < t);
 }
 
-#ifdef VECTOR_PHILOX
-/* Whether the CPU runs ``count_whole_blocks``; set once, at module load. */
-static int philox_avx512;
+#ifdef AVX512
+/* Whether the CPU runs ``count_whole_blocks`` and ``average_avx512``; set
+ * once, at module load. */
+static int cpu_avx512;
 
 /* The high words of the eight 128-bit products x * m, with their low words
  * in ``lo``: m's 32-bit halves ``ml`` and ``mh`` (in the low half of each
  * lane) times x's, four 32 x 32 -> 64-bit multiplies, and the carries of
  * the two middle terms, which cannot overflow a lane. */
-VECTOR_PHILOX static inline __m512i
+AVX512 static inline __m512i
 mul_wide(__m512i x, __m512i ml, __m512i mh, __m512i *lo)
 {
     const __m512i xh = _mm512_srli_epi64(x, 32),
@@ -199,7 +200,7 @@ mul_wide(__m512i x, __m512i ml, __m512i mh, __m512i *lo)
 
 /* One Philox4x64 round on eight blocks, word i of block l in lane l of
  * c[i], under the round key (k0, k1) in every lane. */
-VECTOR_PHILOX static inline void
+AVX512 static inline void
 philox_round8(__m512i c[4], __m512i k0, __m512i k1)
 {
     __m512i lo0, lo1;
@@ -215,7 +216,7 @@ philox_round8(__m512i c[4], __m512i k0, __m512i k1)
 }
 
 /* The counters of blocks b .. b + 7 in c[0], and zero words. */
-VECTOR_PHILOX static inline void
+AVX512 static inline void
 start8(__m512i c[4], uint64_t b)
 {
     c[0] = _mm512_add_epi64(_mm512_set1_epi64((long long)b),
@@ -225,7 +226,7 @@ start8(__m512i c[4], uint64_t b)
 
 /* Number of the 32 words of eight blocks whose top 53 bits are below the
  * threshold in every lane of ``t``. */
-VECTOR_PHILOX static inline Py_ssize_t
+AVX512 static inline Py_ssize_t
 lanes_below(const __m512i c[4], __m512i t)
 {
     Py_ssize_t j = 0;
@@ -243,7 +244,7 @@ lanes_below(const __m512i c[4], __m512i t)
  * the scalar multipliers busy.  Then one vector step takes eight blocks
  * while eight remain.  Advances *b past the counted blocks, leaving fewer
  * than eight. */
-VECTOR_PHILOX static Py_ssize_t
+AVX512 static Py_ssize_t
 count_whole_blocks(uint64_t k0, uint64_t k1, uint64_t *bp, uint64_t end,
                    uint64_t t)
 {
@@ -286,6 +287,42 @@ count_whole_blocks(uint64_t k0, uint64_t k1, uint64_t *bp, uint64_t end,
     *bp = b;
     return j;
 }
+
+/* One averaging step of ``binomial_steps`` in AVX-512 lanes: w[i] becomes
+ * q * w[i] + p * w[i + m] for i < end, with q = 1 - p and ``w`` on a
+ * 64-byte line.  A step of the loop takes 16 entries, with aligned loads
+ * and stores of w[i] and unaligned loads of w[i + m]; the last 0 .. 15
+ * entries go through masked 8-lane loads and stores.  Each lane multiplies
+ * twice and adds once, with no FMA, so it rounds as the scalar line does.
+ * Every load reads entries i + m > i before any store of that step writes
+ * entry i, as the ascending scalar loop does. */
+AVX512 AVERAGING static void
+average_avx512(double *restrict w, Py_ssize_t m, double p, Py_ssize_t end)
+{
+    const __m512d pv = _mm512_set1_pd(p), qv = _mm512_set1_pd(1.0 - p);
+    Py_ssize_t i;
+
+    for (i = 0; i + 16 <= end; i += 16) {
+        const __m512d lo = _mm512_add_pd(
+                          _mm512_mul_pd(qv, _mm512_load_pd(w + i)),
+                          _mm512_mul_pd(pv, _mm512_loadu_pd(w + i + m))),
+                      hi = _mm512_add_pd(
+                          _mm512_mul_pd(qv, _mm512_load_pd(w + i + 8)),
+                          _mm512_mul_pd(pv, _mm512_loadu_pd(w + i + 8 + m)));
+
+        _mm512_store_pd(w + i, lo);
+        _mm512_store_pd(w + i + 8, hi);
+    }
+    for (; i < end; i += 8) {
+        /* the lanes below end, all eight when 8 or more remain */
+        const __mmask8 k = (__mmask8)_bzhi_u32(0xFF, (unsigned)(end - i));
+
+        _mm512_mask_store_pd(
+            w + i, k,
+            _mm512_add_pd(_mm512_mul_pd(qv, _mm512_maskz_load_pd(k, w + i)),
+                          _mm512_mul_pd(pv, _mm512_maskz_loadu_pd(k, w + i + m))));
+    }
+}
 #endif
 
 /* Number of stream doubles start .. start + h - 1 below p.  Whole blocks
@@ -304,8 +341,8 @@ count_below(stream *s, uint64_t start, Py_ssize_t h, double p)
                           end - 4 * b < 4 ? (unsigned)(end - 4 * b) : 4, t);
         b++;
     }
-#ifdef VECTOR_PHILOX
-    if (philox_avx512 && b + 18 <= end / 4)
+#ifdef AVX512
+    if (cpu_avx512 && b + 18 <= end / 4)
         j += count_whole_blocks(s->k0, s->k1, &b, end / 4, t);
 #endif
     for (; b < end / 4; b++) {
@@ -566,7 +603,7 @@ simulate_philox(PyObject *self, PyObject *args, PyObject *kwargs)
  * their sum, in the order of the numpy loop that the tests keep as its
  * reference; setup.py turns off FMA contraction, which would round them
  * once. */
-VECTOR_CLONES static void
+AVERAGING static void
 binomial_steps(double *restrict w, Py_ssize_t m, double p, Py_ssize_t top,
                double *restrict v, Py_ssize_t mv, int backup_enabled)
 {
@@ -577,8 +614,13 @@ binomial_steps(double *restrict w, Py_ssize_t m, double p, Py_ssize_t top,
 
     for (step = 1; 2 * step <= top; step++) {
         end = (rows - step) * m;
-        for (i = 0; i < end; i++)
-            w[i] = q * w[i] + p * w[i + m];
+#ifdef AVX512
+        if (cpu_avx512)
+            average_avx512(w, m, p, end);
+        else
+#endif
+            for (i = 0; i < end; i++)
+                w[i] = q * w[i] + p * w[i + m];
         row = v + 2 * step * mv;
         memcpy(row, w, (size_t)mv * sizeof *w);
         if (2 * step + 1 > top)
@@ -607,15 +649,21 @@ typedef struct {
     double failure_loss;
 } plan;
 
+/* The doubles of a 64-byte line.  Each table starts on one, and the
+ * scratch of a call ends with one line of slack. */
+#define LINE 8
+
 /* Lays out ``pl`` for counts up to ``pl->n`` of the parities given: an even
  * count reads slot 0 at depth 1, an odd one (3 or more) the slot of a backup
  * stored at depth 0, or slot 0 when backups are off.  Returns the doubles
- * of the largest table, or -1 when two such tables would not fit in
+ * of the largest table rounded up to whole lines, or -1 when two such
+ * tables, a line to align them and a line of slack would not fit in
  * PY_SSIZE_T_MAX bytes. */
 static Py_ssize_t
 lay_out(plan *pl, int has_even, int has_odd)
 {
-    const Py_ssize_t limit = PY_SSIZE_T_MAX / (Py_ssize_t)(2 * sizeof(double));
+    const Py_ssize_t limit =
+        PY_SSIZE_T_MAX / (Py_ssize_t)(2 * sizeof(double)) - 2 * LINE;
     Py_ssize_t d, m = 0, size = 0, entries;
 
     for (pl->depth_cap = 0; pl->n >> (pl->depth_cap + 1); pl->depth_cap++)
@@ -638,7 +686,7 @@ lay_out(plan *pl, int has_even, int has_odd)
         if (entries > size)
             size = entries;
     }
-    return size;
+    return (size + LINE - 1) / LINE * LINE;
 }
 
 /* One state's backward induction over depth, on the tables ``a`` and ``b``
@@ -701,7 +749,8 @@ exact_expectations(PyObject *self, PyObject *args, PyObject *kwargs)
     Py_buffer fid, psucc, counts, out;
     plan pl = {.n = 1};
     Py_ssize_t states, ncounts, size, i, j;
-    double failure_fidelity, *scratch;
+    double failure_fidelity;
+    void *raw;
     int has_even = 0, has_odd = 0;
 
     if (!PyArg_ParseTupleAndKeywords(
@@ -752,9 +801,13 @@ exact_expectations(PyObject *self, PyObject *args, PyObject *kwargs)
         PyErr_SetString(PyExc_ValueError,
                         "out must not overlap fid, psucc or counts");
     else if (size < 0
-             || (scratch = PyMem_Malloc(2 * (size_t)size * sizeof *scratch)) == NULL)
+             || (raw = PyMem_Malloc((2 * (size_t)size + 2 * LINE) * sizeof(double)))
+                    == NULL)
         PyErr_NoMemory();
     else {
+        /* both tables on 64-byte lines, for the aligned loads and stores of
+         * ``average_avx512`` */
+        double *scratch = (double *)(((uintptr_t)raw + 63) & ~(uintptr_t)63);
         const double *fs = fid.buf, *ps = psucc.buf, *table;
         const int64_t *cs = counts.buf;
         double *o = out.buf;
@@ -780,7 +833,7 @@ exact_expectations(PyObject *self, PyObject *args, PyObject *kwargs)
         _mm_setcsr(csr);
 #endif
         Py_END_ALLOW_THREADS
-        PyMem_Free(scratch);
+        PyMem_Free(raw);
         result = Py_NewRef(Py_None);
     }
 
@@ -989,10 +1042,10 @@ PyInit__trajectory_c(void)
     PyObject *m = PyModule_Create(&module);
     const char *philox = "scalar";
 
-#ifdef VECTOR_PHILOX
+#ifdef AVX512
     __builtin_cpu_init();
-    philox_avx512 = __builtin_cpu_supports("x86-64-v4");
-    if (philox_avx512)
+    cpu_avx512 = __builtin_cpu_supports("x86-64-v4");
+    if (cpu_avx512)
         philox = "avx512";
 #endif
     if (m != NULL && (PyModule_AddStringConstant(m, "IMPL", "compiled") < 0

@@ -8,8 +8,9 @@ a no-op when nothing changed.  The build never raises: if it fails, the
 package has no kernel to import, so every test module that imports
 ``belldistil`` fails at collection with an ``ImportError`` naming the
 build command, and the report header shows the build's last lines.  The
-header always names the kernel and the Philox path it runs (``avx512`` or
-``scalar``), or why the kernel could not be imported.
+header always names the kernel and the path its Philox and exact averaging
+loop run (``avx512`` or ``scalar``), or why the kernel could not be
+imported.
 """
 
 import subprocess

@@ -18,11 +18,23 @@ or when an edit does not apply or does not build.  When the unmutated copy
 fails, it names the files under ``src/`` and ``tests/`` that git does not
 track, which the copy leaves out.
 
-Mutants of the AVX-512 Philox (``avx512=True``) run only where the built
-kernel reports ``PHILOX == "avx512"``; elsewhere that code never runs, and
-they are listed as not run.  Accepted survivors run too, so a test that
-comes to kill one shows.  pytest does not collect this file: it is a CI step
-beside the sanitizer build, not a tier-1 test.
+Mutants of the AVX-512 Philox and averaging loop (``avx512=True``) run only
+where the built kernel reports ``PHILOX == "avx512"``; elsewhere that code
+never runs, and they are listed as not run.  Accepted survivors run too, so
+a test that comes to kill one shows.  pytest does not collect this file: it
+is a CI step beside the sanitizer build, not a tier-1 test.
+
+Some edits are equivalent, so no test can kill them, and they are not
+mutants here.  In the CSV writer: the tie margin 2**-12 made 0 (p and every
+half-integer lie on p's ulp grid, so a p that is not a half-integer is a
+whole ulp from one, and the exact product, within half an ulp of p, rounds
+the same way); ``d >= 1e11`` made ``d >= 1e10`` (every table entry is at or
+above its power of ten, so p >= 1e11); and ``>=`` made ``>`` in the exponent
+search (exact powers of ten then take the slow path).  In the exact
+induction: the line of slack at the end of the scratch left out (no load
+reads past a table's end, and a masked load reads no masked lane), and the
+16-entry step bound ``<=`` made ``<`` (the masked tail then takes the last
+16 entries).
 """
 
 from __future__ import annotations
@@ -80,6 +92,21 @@ MUTANTS = [
     Mutant("scalar pair given the vectors' counters", KERNEL,
            "x[0] = b + 17;\n        y[0] = b + 18;",
            "x[0] = b + 1;\n        y[0] = b + 9;", avx512=True),
+    # the AVX-512 averaging loop of average_avx512
+    Mutant("averaging tail mask one lane short", KERNEL,
+           "_bzhi_u32(0xFF, (unsigned)(end - i))",
+           "_bzhi_u32(0xFF, (unsigned)(end - i - 1))", avx512=True),
+    Mutant("second 8-lane half reads w + i + m", KERNEL,
+           "_mm512_loadu_pd(w + i + 8 + m)", "_mm512_loadu_pd(w + i + m)",
+           avx512=True),
+    Mutant("first 8-lane half fused into an FMA", KERNEL,
+           "lo = _mm512_add_pd(\n"
+           "                          _mm512_mul_pd(qv, _mm512_load_pd(w + i)),\n"
+           "                          _mm512_mul_pd(pv, _mm512_loadu_pd(w + i + m))),",
+           "lo = _mm512_fmadd_pd(\n"
+           "                          qv, _mm512_load_pd(w + i),\n"
+           "                          _mm512_mul_pd(pv, _mm512_loadu_pd(w + i + m))),",
+           avx512=True),
     # the scalar Philox, which every host runs for heads, tails and the
     # cached block
     Mutant("scalar block counter one low", KERNEL,
@@ -139,6 +166,62 @@ MUTANTS = [
            "if (pl->stop_at_two)"),
     Mutant("FTZ/DAZ left set after the call", KERNEL,
            "        _mm_setcsr(csr);\n", ""),
+    # the buffer and range checks of exact_expectations and run(), each
+    # killed by a rejection test whose sentinels show a stray write
+    Mutant("count of 0 let into the induction", KERNEL,
+           "if (c < 1) {", "if (c < 0) {", tests=("tests/test_float_core.py",)),
+    Mutant("fid and psucc shapes not compared", KERNEL,
+           "if (psucc.shape[0] != fid.shape[0] || psucc.shape[1] != states)",
+           "if (0)", tests=("tests/test_float_core.py",)),
+    Mutant("depth tables one depth short let through", KERNEL,
+           "else if (fid.shape[0] <= pl.depth_cap)",
+           "else if (fid.shape[0] < pl.depth_cap)", tests=("tests/test_float_core.py",)),
+    Mutant("out larger than its shape let through", KERNEL,
+           "else if (out.shape[0] != states || out.shape[1] != ncounts)",
+           "else if (out.shape[0] < states || out.shape[1] < ncounts)",
+           tests=("tests/test_float_core.py",)),
+    Mutant("exact out allowed to overlap its inputs", KERNEL,
+           "    else if (overlap(&out, &fid) || overlap(&out, &psucc)\n"
+           "             || overlap(&out, &counts))\n"
+           "        PyErr_SetString(PyExc_ValueError,\n"
+           "                        \"out must not overlap fid, psucc or counts\");\n",
+           "", tests=("tests/test_float_core.py",)),
+    Mutant("n0 of -1 let into the kernel", KERNEL,
+           "if (n0 < 0) {", "if (n0 < -1) {", tests=("tests/test_iterative_scheme.py",)),
+    Mutant("first_trial of -1 let into the kernel", KERNEL,
+           "if (first_trial < 0) {", "if (first_trial < -1) {",
+           tests=("tests/test_iterative_scheme.py",)),
+    Mutant("Philox counts longer than the depths let through", KERNEL,
+           "else if (u_obj == NULL && tally.shape[0] != depth_count + 1)",
+           "else if (u_obj == NULL && tally.shape[0] < depth_count + 1)",
+           tests=("tests/test_iterative_scheme.py",)),
+    Mutant("64-bit stream check without the trial count", KERNEL,
+           "(uint64_t)first_trial + (uint64_t)trials > UINT64_MAX / (uint64_t)n0",
+           "(uint64_t)first_trial > UINT64_MAX / (uint64_t)n0",
+           tests=("tests/test_iterative_scheme.py",)),
+    # the CSV writer and the logarithm of the CLI tables
+    Mutant("table cell written in fixed point at a near tie", KERNEL,
+           "if (fabs(scaled - floor(scaled) - 0.5) > 0x1p-12\n"
+           "            && d >= 100000000000LL",
+           "if (d >= 100000000000LL", tests=("tests/test_cli.py",)),
+    Mutant("13-digit mantissa written in fixed point", KERNEL,
+           "d < 1000000000000LL", "d <= 1000000000000LL", tests=("tests/test_cli.py",)),
+    Mutant("mantissa truncated in place of rounded", KERNEL,
+           "d = (int64_t)floor(scaled + 0.5);", "d = (int64_t)floor(scaled);",
+           tests=("tests/test_cli.py",)),
+    Mutant("trailing zeros of a cell kept", KERNEL,
+           "for (end = lead + 12; digits[end - 1] == '0'; end--)\n                ;",
+           "end = lead + 12;", tests=("tests/test_cli.py",)),
+    Mutant("NaN cell written as text", KERNEL,
+           "if (!isnan(*cell) && (p = format_cell(p, *cell)) == NULL)",
+           "if ((p = format_cell(p, *cell)) == NULL)", tests=("tests/test_cli.py",)),
+    Mutant("log of zero let through", KERNEL,
+           "if (!(xs[i] > 0.0) && !isnan(xs[i]))", "if (xs[i] < 0.0)",
+           tests=("tests/test_cli.py", "tests/test_finite_ensemble.py")),
+    Mutant("log out allowed to overlap x", KERNEL,
+           "    else if (overlap(&out, &x))\n"
+           "        PyErr_SetString(PyExc_ValueError, \"out must not overlap x\");\n",
+           "", tests=("tests/test_cli.py", "tests/test_finite_ensemble.py")),
     # the sweep's all-success reference and count checks, and the Monte
     # Carlo's exact mean
     Mutant("reference depth of the effective count", SCHEME,
@@ -254,7 +337,7 @@ def main(names: list[str]) -> int:
         print(f"unmutated copy passes ({summary}); PHILOX = {philox}")
         for m in mutants:
             if m.avx512 and philox != "avx512":
-                print(f"NOT RUN    {m.name}: the AVX-512 Philox does not run here")
+                print(f"NOT RUN    {m.name}: the AVX-512 paths do not run here")
                 continue
             path = tree / m.path
             source = path.read_text()

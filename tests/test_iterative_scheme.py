@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from belldistil import (
     BACKUP,
+    BellDiagonalState,
     DROP_ONE,
     NO_BACKUP,
     IterationPolicy,
@@ -36,6 +38,7 @@ from belldistil.iterative_scheme import (
 )
 from belldistil.oracle import compare_with_closed_form
 
+import exact_oracle
 from enumeration import deepest_round, enumerate_expectation
 
 WERNER_075 = werner(0.75)
@@ -123,14 +126,38 @@ class TestExpectedFidelityExact:
                 ), (policy, n)
 
     def test_matches_enumeration_off_werner(self):
-        from belldistil import BellDiagonalState
-
         s = BellDiagonalState(0.62, 0.2, 0.1, 0.08)
         for n in (5, 7, 8):
             expected, _ = enumerate_expectation(n, s, BACKUP)
             assert expected_fidelity_exact(n, s, BACKUP) == pytest.approx(
                 expected, abs=1e-12
             )
+
+    @pytest.mark.parametrize("policy", [
+        BACKUP, NO_BACKUP, DROP_ONE,
+        IterationPolicy(stop_at_two_without_backup=False),
+        IterationPolicy(backup_enabled=False, stop_at_two_without_backup=False),
+        IterationPolicy(failure_fidelity=0.37),
+        IterationPolicy(backup_enabled=False, failure_fidelity=0.37),
+    ], ids=["backup", "no-backup", "drop-one", "relaxed-stop", "relaxed-stop-no-backup",
+            "failure-0.37", "failure-0.37-no-backup"])
+    def test_sweep_matches_exact_rationals(self, policy):
+        # the depth tables and the induction in fractions, N = 1 .. 12, on
+        # Werner states and the first three uniform Dirichlet draws with
+        # F > 1/2, where the scheme distills.  Below 1/2 the expectation
+        # falls toward 0 while the engine averages 1 - F, so its error,
+        # within 4e-16 absolute, is not within 1e-15 of a value near 0.
+        draws = np.random.default_rng(10).dirichlet(np.ones(4), size=40)
+        states = [werner(a) for a in (0.55, 0.75, 0.9)]
+        states += [BellDiagonalState(*x) for x in draws[draws[:, 0] > 0.5][:3]]
+        assert len(states) == 6
+        counts = list(range(1, 13))
+        for s in states:
+            rows = sweep_over_n(s, counts, policy)
+            for (n, value, reference), exact in zip(rows, exact_oracle.sweep(
+                    s.as_tuple(), counts, policy)):
+                for got, want in zip((value, reference), exact):
+                    assert abs(Fraction(got) - want) <= want * 1e-15, (s, n)
 
     def test_resource_cap(self):
         with pytest.raises(ResourceCapError, match="expected_fidelity_mc"):
