@@ -50,7 +50,7 @@ from .bell_core import (
 from .errors import InvalidStateError, ResourceCapError
 from .finite_ensemble import (
     UnsuccessfulConvention,
-    _n_min_column,
+    _n_min_columns,
     unsuccessful_fidelity,
 )
 from .iterative_scheme import (
@@ -175,10 +175,10 @@ def cmd_nmin(args: argparse.Namespace) -> int:
     grid = _a_grid(args.start, args.stop, args.step)
     stack = _werner_stack(grid)
     columns = [grid]
-    for conv in (UnsuccessfulConvention.LOCC_FLOOR, UnsuccessfulConvention.CONDITIONAL):
-        # the Werner stack is checked as it is built; NaN where a round
-        # cannot gain fidelity (n_min gives None)
-        x = _n_min_column(stack, conv)
+    # the Werner stack is checked as it is built; NaN where a round cannot
+    # gain fidelity (n_min gives None)
+    convs = (UnsuccessfulConvention.LOCC_FLOOR, UnsuccessfulConvention.CONDITIONAL)
+    for x in _n_min_columns(stack, convs):
         # round_up_even for the whole column: integers below 2,200, which
         # '.12g' writes as '%d' would
         columns += [x, np.maximum(2.0, np.ceil(x / 2.0) * 2.0)]

@@ -102,16 +102,17 @@ def avg_fidelity_one_round(
 ) -> float:
     """Round-averaged fidelity: all-fail weight takes F_u, the rest F(success)."""
     n = _require_even(n)
-    f_s, f_u, fail = _round_terms(s.as_tuple(), conv)
+    f_s, fail = _round_terms(s.as_tuple())
+    f_u = unsuccessful_fidelity(s, conv)
     p_all_fail = fail ** (n // 2)
     return p_all_fail * f_u + (1.0 - p_all_fail) * f_s
 
 
-def _round_terms(coeffs, conv: UnsuccessfulConvention):
-    """Success fidelity, fallback fidelity F_u and failure weight 1 - p of
-    one step, for one state's coefficients or a coefficient stack."""
+def _round_terms(coeffs):
+    """Success fidelity and failure weight 1 - p of one step, for one
+    state's coefficients or a coefficient stack."""
     p = _success_weight(*coeffs)
-    return _success_coeffs(*coeffs, p)[0], _fallback_fidelity(coeffs, conv), 1.0 - p
+    return _success_coeffs(*coeffs, p)[0], 1.0 - p
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -139,7 +140,8 @@ def n_min(
     """
     single = isinstance(s, BellDiagonalState)
     stack = np.array(s.as_tuple())[:, None] if single else _checked_stack(s)
-    values = [None if math.isnan(x) else x for x in _n_min_column(stack, conv).tolist()]
+    column = _n_min_columns(stack, (conv,))[0]
+    values = [None if math.isnan(x) else x for x in column.tolist()]
     if single and values[0] is None:
         raise NotDistillableError(
             f"fidelity {s.a!r} cannot be increased by a distillation step"
@@ -147,15 +149,22 @@ def n_min(
     return values[0] if single else values
 
 
-def _n_min_column(stack: np.ndarray, conv: UnsuccessfulConvention) -> np.ndarray:
-    """:func:`n_min` of each state of a checked ``(4, k)`` coefficient stack,
-    as floats, with NaN where a round cannot gain fidelity."""
-    a, f_s, f_u, fail = np.broadcast_arrays(stack[0], *_round_terms(stack, conv))
+def _n_min_columns(stack: np.ndarray, convs) -> list[np.ndarray]:
+    """:func:`n_min` of each state of a checked ``(4, k)`` coefficient stack
+    under each convention of ``convs``: one float column per convention,
+    with NaN where a round cannot gain fidelity.  The success terms, the
+    mask and the log of the failure weight are computed once for all."""
+    a = stack[0]
+    f_s, fail = _round_terms(stack)
     keep = ~((a <= 0.5) | (f_s <= a))
-    a, f_s, f_u, fail = (x[keep] for x in (a, f_s, f_u, fail))
-    column = np.full(keep.shape, np.nan)
-    column[keep] = 2.0 * _log((a - f_s) / (f_u - f_s)) / _log(fail)
-    return column
+    a, f_s, log_fail = a[keep], f_s[keep], _log(fail[keep])
+    columns = []
+    for conv in convs:
+        f_u = np.broadcast_to(_fallback_fidelity(stack, conv), keep.shape)[keep]
+        column = np.full(keep.shape, np.nan)
+        column[keep] = 2.0 * _log((a - f_s) / (f_u - f_s)) / log_fail
+        columns.append(column)
+    return columns
 
 
 def round_up_even(x: float) -> int:

@@ -239,7 +239,8 @@ MUTANTS = [
            "if policy.drop_one_when_even and n % 2 == 1:"),
     Mutant("tally sum without the common denominator", SCHEME,
            "c * m * (den // d)", "c * m * den"),
-    # the grid points, the oracle's sub-stacks and the nmin column
+    # the grid points, the oracle's sub-stacks, disc test and 2-D products,
+    # and the nmin column
     Mutant("grid without the round() fallback near ties", CLI,
            "    for i in np.flatnonzero(~safe).tolist():\n"
            "        grid[i] = round(float(x[i]), _GRID_DECIMALS)\n", "",
@@ -247,6 +248,17 @@ MUTANTS = [
     Mutant("last partial sub-stack not stepped", ORACLE,
            "for lo in range(0, k, _STEP_STACK):",
            "for lo in range(0, k - k % _STEP_STACK, _STEP_STACK):",
+           tests=("tests/test_oracle.py",)),
+    Mutant("Gershgorin disc bound at -10 * PSD_ATOL", ORACLE,
+           "- radius >= -PSD_ATOL).all():", "- radius >= -10 * PSD_ATOL).all():",
+           tests=("tests/test_oracle.py",)),
+    Mutant("Gershgorin fast path deleted", ORACLE,
+           "    if (ms.diagonal(axis1=1, axis2=2).real - radius >= -PSD_ATOL).all():\n"
+           "        return\n", "",
+           tests=("tests/test_oracle.py",)),
+    Mutant("sandwich without its first transpose", ORACLE,
+           "(ms.transpose(0, 2, 1).reshape(4 * k, 4) @ left.T)",
+           "(ms.reshape(4 * k, 4) @ left.T)",
            tests=("tests/test_oracle.py",)),
     Mutant("nmin keep-mask inverted", ENSEMBLE,
            "keep = ~((a <= 0.5) | (f_s <= a))", "keep = (a <= 0.5) | (f_s <= a)",

@@ -200,6 +200,16 @@ def _use_convention(monkeypatch, sign: int) -> None:
         monkeypatch.setattr(oracle, "_STEP_GATE", _step_gate(u))
 
 
+def _count_eigvalsh(monkeypatch) -> list[int]:
+    """Route ``np.linalg.eigvalsh`` through a wrapper that appends the
+    stack size of each call to the list returned."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: calls.append(len(oracle._stacked(m))) or eigvalsh(m))
+    return calls
+
+
 class TestBellBasis:
     def test_orthonormal(self):
         gram = BELL_BASIS.conj() @ BELL_BASIS.T
@@ -272,6 +282,42 @@ class TestValidateDensityMatrix:
         stack[9, 2, 2] = np.nan
         with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
             check(stack)
+
+    def test_bell_diagonal_stacks_never_reach_the_eigensolver(self, monkeypatch):
+        # every embedding passes the disc test: row 0 reaches down to
+        # (a + d)/2 - |a - d|/2 = min(a, d) >= 0
+        def eigvalsh(m):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        states = _random_stack(18, 300)
+        states[0] = BellDiagonalState(1, 0, 0, 0)
+        states[1] = BellDiagonalState(0, 0, 0, 1)
+        dejmps_step_full(embed(states))
+        assert compare_with_closed_form(400, 0).max_deviation < 1e-10
+
+    def test_crossing_discs_go_to_the_eigensolver(self, monkeypatch):
+        # a pure state with every entry 1/4: each disc reaches down to -1/2
+        calls = _count_eigvalsh(monkeypatch)
+        validate_density_matrix(np.full((4, 4), 0.25, dtype=complex))
+        assert calls == [1]
+
+    @pytest.mark.parametrize("low, accepted", [(-2e-10, False), (-5e-11, True)])
+    def test_tolerance_edge_on_both_paths(self, low, accepted, monkeypatch):
+        calls = _count_eigvalsh(monkeypatch)
+        diagonal = np.diag([1.0 - low, low, 0.0, 0.0]).astype(complex)
+        # every entry of the unitary is +-1/2, so every disc of the rotated
+        # matrix reaches down to about -1/2 and the eigensolver decides
+        hadamard = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]) / 2.0
+        dense = hadamard @ diagonal @ hadamard
+        for m, eigensolver in ((diagonal, not accepted), (dense, True)):
+            calls.clear()
+            if accepted:
+                validate_density_matrix(m)
+            else:
+                with pytest.raises(ValueError, match="^matrix is not positive semidefinite$"):
+                    validate_density_matrix(m)
+            assert calls == ([1] if eigensolver else [])
 
     @pytest.mark.parametrize("shape", [(16, 16), (2, 16, 16), (4,), (2, 2, 4, 4)])
     def test_rejects_other_shapes(self, shape):
@@ -609,6 +655,33 @@ def reference_branch(rho, proj):
     reduced /= np.where(reachable, weight, 1.0)[:, None, None]
     reduced[~reachable] = embed(BellDiagonalState(0.5, 0.5, 0.0, 0.0))
     return weight, reduced, reachable
+
+
+def reference_sandwich(left, m, right):
+    """The stacked matmul that ``oracle._sandwich`` replaced."""
+    return left @ m @ right
+
+
+class TestSandwich:
+    @pytest.mark.parametrize("k", [0, 1, 7, 256])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_the_stacked_matmul_bytewise(self, k, sign, monkeypatch):
+        _use_convention(monkeypatch, sign)
+        rng = np.random.default_rng(k)
+        dense = rng.normal(size=(k, 4, 4)) + 1j * rng.normal(size=(k, 4, 4))
+        bell = embed(_random_stack(k, k)) if k else np.zeros((0, 4, 4), dtype=complex)
+        u = oracle._PAIR_ROTATION
+        pairs = ((u, u.conj().T), (oracle._BELL_BASIS_CONJ, BELL_BASIS.T))
+        for m in (dense, bell, apply_rotation_pair(bell)):
+            for left, right in pairs:
+                got = oracle._sandwich(left, m, right)
+                want = reference_sandwich(left, m, right)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+        if k:
+            single = apply_rotation_pair(bell[0])
+            assert single.shape == (4, 4)
+            assert single.tobytes() == reference_sandwich(u, bell[0], u.conj().T).tobytes()
 
 
 class TestSlicedBranch:
